@@ -10,7 +10,7 @@ over N worker-shard subprocesses behind the same HTTP API.  See
 for how the pieces fit.
 """
 
-from repro.serve.app import ServeApp, ServeConfig, ServeHandle
+from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.cache import ResultCache
 from repro.serve.hashring import HashRing
 from repro.serve.client import (
@@ -28,15 +28,15 @@ from repro.serve.jobs import (
 )
 from repro.serve.metrics import Metrics
 from repro.serve.queue import Job, JobFailed, JobQueue, JobTimeout, QueueFull
-from repro.serve.router import RouterConfig, RouterHandle, ShardRouter
+from repro.serve.httpcore import ServiceHandle
+from repro.serve.router import RouterConfig, ShardRouter
 
 __all__ = [
     "ServeApp",
     "ServeConfig",
-    "ServeHandle",
     "ShardRouter",
     "RouterConfig",
-    "RouterHandle",
+    "ServiceHandle",
     "HashRing",
     "ResultCache",
     "Client",

@@ -73,36 +73,29 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlencode
 
-from repro.resilience.faults import (
-    FaultPlan,
-    InjectedFault,
-    active_plan,
-    arm,
-    fault_point,
-)
+from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.serve.cache import ResultCache
 from repro.serve.hashring import HashRing, moved_keys
 from repro.serve.httpcore import (
-    ProtocolError,
-    flag as _query_flag,
+    HttpService,
+    Request,
+    Response,
+    flag,
+    json_body,
     proxy_request,
-    read_request,
-    write_response,
 )
 from repro.serve.jobs import (
-    JobSpecError,
     key_and_fingerprint,
     normalize_spec,
     response_text,
 )
-from repro.serve.metrics import Metrics, merge_expositions, relabel_exposition
+from repro.serve.metrics import merge_expositions, relabel_exposition
 from repro.serve.queue import Job
 
 
@@ -224,29 +217,21 @@ class ShardProcess:
         return info
 
 
-class ShardRouter:
+class ShardRouter(HttpService):
     """Front end of a sharded fleet: routing, shared cache, supervision."""
 
+    config_class = RouterConfig
+
     def __init__(self, config: Optional[RouterConfig] = None, **overrides) -> None:
-        if config is None:
-            config = RouterConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a RouterConfig or keyword overrides")
+        super().__init__(config, **overrides)
+        config = self.config
         if config.shards < 1:
             raise ValueError(f"shards must be >= 1, got {config.shards}")
-        self.config = config
-        self.metrics = Metrics()
-        self.cache = ResultCache(config.cache_entries, metrics=self.metrics)
         self.ring = HashRing(f"shard-{i}" for i in range(config.shards))
         self.shards: Dict[str, ShardProcess] = {}
-        #: Router-answered jobs (shared-cache hits), by id.
-        self.jobs: "Dict[str, Job]" = {}
-        self._job_order: List[str] = []
-        #: Which shard answered which job id (forwarded submissions).
-        self.job_locations: Dict[str, str] = {}
-        self.fault_plan: Optional[FaultPlan] = None
-        if config.faults:
-            self.fault_plan = FaultPlan.parse(config.faults, seed=config.fault_seed)
+        #: Which shard answered which job id (forwarded submissions);
+        #: ``self.jobs`` holds the router-answered ones (L2 hits).
+        self.job_locations: "OrderedDict[str, str]" = OrderedDict()
         #: Names are never reused: the next admin-added shard gets this.
         self._next_index = config.shards
         #: Serializes admin reshards (a second one answers 409).
@@ -258,14 +243,8 @@ class ShardRouter:
         #: import per ``replica_flush_s`` window (re-puts dedupe by key).
         self._replica_buffer: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._replica_flush_scheduled = False
-        self.draining = False
-        self.started_monotonic: Optional[float] = None
         self._scratch: Optional[tempfile.TemporaryDirectory] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stop_event: Optional[asyncio.Event] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._drain_on_stop = True
-        self._announce = sys.stderr
         self._describe_metrics()
 
     def _describe_metrics(self) -> None:
@@ -273,7 +252,6 @@ class ShardRouter:
         m.describe("cache_hits", "Shared (L2) result-cache hits at the router.")
         m.describe("cache_misses", "Shared (L2) result-cache misses at the router.")
         m.describe("cache_evictions", "LRU evictions from the shared cache.")
-        m.describe("http_requests", "HTTP requests, by method/route/status.")
         m.describe("router_forwards", "Requests forwarded, by target shard.")
         m.describe("router_forward_errors", "Forward attempts that failed, by target shard.")
         m.describe("router_failovers", "Submissions re-routed off their owner shard.")
@@ -292,8 +270,6 @@ class ShardRouter:
             "healthy_shards",
             lambda: sum(1 for s in self.shards.values() if s.healthy),
         )
-        m.gauge("cache_entries", lambda: len(self.cache))
-        m.gauge("draining", lambda: 1 if self.draining else 0)
 
     # ------------------------------------------------------------------
     # shard lifecycle
@@ -400,42 +376,17 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Spawn the fleet, wait for every shard, bind the listener."""
-        if self.fault_plan is not None:
-            arm(self.fault_plan)
+    async def _boot(self) -> None:
+        """Spawn the fleet, wait for every shard, start supervision."""
         for index in range(self.config.shards):
             shard = self._new_shard(f"shard-{index}", index)
             self._spawn(shard)
         for shard in list(self.shards.values()):
             await self._await_port(shard)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
         self._health_task = asyncio.create_task(self._health_loop())
-        self.started_monotonic = time.monotonic()
-        if self.config.port_file:
-            directory = os.path.dirname(self.config.port_file)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            temp_path = f"{self.config.port_file}.tmp"
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                handle.write(f"{self.port}\n")
-            os.replace(temp_path, self.config.port_file)
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the fleet; with ``drain``, let every shard finish first."""
-        self.draining = True
+    async def _teardown(self, drain: bool) -> None:
+        """Stop supervision, then let every shard drain (or kill it)."""
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -460,93 +411,15 @@ class ShardRouter:
                 )
         deadline = time.monotonic() + self.config.drain_timeout_s
         for shard in list(self.shards.values()):
-            if shard.process is None:
-                continue
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                await asyncio.to_thread(shard.process.wait, remaining)
-            except subprocess.TimeoutExpired:  # pragma: no cover - slow drain
-                shard.process.kill()
-                await asyncio.to_thread(shard.process.wait)
-            shard.healthy = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self.fault_plan is not None and active_plan() is self.fault_plan:
-            arm(None)
+            if shard.process is not None:
+                await self._reap(shard, deadline)
+                shard.healthy = False
         if self._scratch is not None:
             self._scratch.cleanup()
             self._scratch = None
-        if self._announce is not None:
-            print(
-                relabel_exposition(self.metrics.render(), shard="router"),
-                file=self._announce,
-                end="",
-            )
-            print("drained and stopped", file=self._announce, flush=True)
 
-    def serve_forever(self, announce=sys.stderr, install_signals: bool = True) -> int:
-        """Blocking entry point of ``repro-hls serve --shards N``."""
-        self._announce = announce
-        return asyncio.run(self._serve_forever(install_signals))
-
-    async def _serve_forever(self, install_signals: bool) -> int:
-        await self.start()
-        self._stop_event = asyncio.Event()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.request_stop)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-        if self._announce is not None:
-            print(
-                f"router: {self.config.shards} shard(s) up",
-                file=self._announce,
-                flush=True,
-            )
-            print(f"serving on {self.url}", file=self._announce, flush=True)
-        await self._stop_event.wait()
-        await self.shutdown(drain=self._drain_on_stop)
-        return 0
-
-    def request_stop(self, drain: bool = True) -> None:
-        """Ask the router loop to drain the fleet and exit."""
-        self.draining = True
-        self._drain_on_stop = drain
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    # -- threaded harness (tests, docs, benchmarks) --------------------
-    def start_in_thread(self) -> "RouterHandle":
-        """Run this router on a dedicated event-loop thread."""
-        ready = threading.Event()
-        failure: Dict[str, BaseException] = {}
-
-        def _runner() -> None:
-            try:
-                asyncio.run(self._thread_main(ready))
-            except BaseException as error:  # pragma: no cover - startup bugs
-                failure["error"] = error
-                ready.set()
-
-        thread = threading.Thread(target=_runner, name="repro-router", daemon=True)
-        thread.start()
-        ready.wait(timeout=120)
-        if "error" in failure:
-            raise RuntimeError("router failed to start") from failure["error"]
-        return RouterHandle(self, thread)
-
-    async def _thread_main(self, ready: threading.Event) -> None:
-        self._announce = None
-        await self.start()
-        self._stop_event = asyncio.Event()
-        self._thread_loop = asyncio.get_running_loop()
-        ready.set()
-        await self._stop_event.wait()
-        await self.shutdown(drain=self._drain_on_stop)
+    def _ready_lines(self) -> List[str]:
+        return [f"router: {self.config.shards} shard(s) up"] + super()._ready_lines()
 
     # ------------------------------------------------------------------
     # supervision
@@ -631,23 +504,59 @@ class ShardRouter:
             shard.port = self._read_port(shard)
             if shard.port is None:
                 return  # still booting (journal replay runs pre-listener)
-        try:
-            status, _headers, body = await proxy_request(
-                self.config.host,
-                shard.port,
-                "GET",
-                "/healthz",
-                timeout_s=self.config.health_timeout_s,
-            )
-            if status != 200:
-                raise ConnectionError(f"healthz answered {status}")
-            shard.last_health = json.loads(body.decode("utf-8"))
+        health = await self._ask_json(shard, "GET", "/healthz")
+        if health is not None:
+            shard.last_health = health
             shard.healthy = True
             shard.failures = 0
-        except (OSError, asyncio.TimeoutError, ValueError):
+        else:
             shard.failures += 1
             if shard.failures >= self.config.health_failures:
                 shard.healthy = False
+
+    async def _ask(
+        self,
+        shard: ShardProcess,
+        method: str,
+        target: str,
+        payload: Any = None,
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One control-plane round trip to a shard, on the health budget."""
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        return await proxy_request(
+            self.config.host,
+            shard.port,
+            method,
+            target,
+            body=body,
+            timeout_s=self.config.health_timeout_s,
+        )
+
+    async def _ask_json(
+        self,
+        shard: ShardProcess,
+        method: str,
+        target: str,
+        payload: Any = None,
+    ) -> Any:
+        """:meth:`_ask` decoded; ``None`` on any transport, status or
+        JSON failure."""
+        if shard.port is None:
+            return None
+        try:
+            status, _headers, raw = await self._ask(shard, method, target, payload)
+            return json.loads(raw.decode("utf-8")) if status == 200 else None
+        except (OSError, asyncio.TimeoutError, ValueError):
+            return None
+
+    async def _reap(self, shard: ShardProcess, deadline: float) -> None:
+        """Wait for a signalled shard to exit; SIGKILL it at ``deadline``."""
+        remaining = max(0.1, deadline - time.monotonic())
+        try:
+            await asyncio.to_thread(shard.process.wait, remaining)
+        except subprocess.TimeoutExpired:  # pragma: no cover - slow drain
+            shard.process.kill()
+            await asyncio.to_thread(shard.process.wait)
 
     # ------------------------------------------------------------------
     # routing
@@ -697,12 +606,6 @@ class ShardRouter:
     def _target(path: str, query: Mapping[str, str]) -> str:
         return f"{path}?{urlencode(dict(query))}" if query else path
 
-    def _remember_job(self, job: Job) -> None:
-        self.jobs[job.id] = job
-        self._job_order.append(job.id)
-        while len(self._job_order) > self.config.job_history:
-            self.jobs.pop(self._job_order.pop(0), None)
-
     def _remember_location(self, payload: Any, shard: ShardProcess) -> None:
         """Pin job ids from a shard response to that shard for ``GET``s."""
         if not isinstance(payload, Mapping):
@@ -711,8 +614,7 @@ class ShardRouter:
         if isinstance(info, Mapping) and isinstance(info.get("id"), str):
             self.job_locations[info["id"]] = shard.name
             while len(self.job_locations) > self.config.job_history:
-                oldest = next(iter(self.job_locations))
-                self.job_locations.pop(oldest)
+                self.job_locations.popitem(last=False)
 
     def _absorb_result(
         self, payload: Any
@@ -832,12 +734,8 @@ class ShardRouter:
             if shard is None or shard.port is None or not shard.alive:
                 continue
             try:
-                status, _headers, raw = await proxy_request(
-                    self.config.host,
-                    shard.port,
-                    "GET",
-                    f"/admin/cache/entry?{urlencode({'key': key})}",
-                    timeout_s=self.config.health_timeout_s,
+                status, _headers, raw = await self._ask(
+                    shard, "GET", f"/admin/cache/entry?{urlencode({'key': key})}"
                 )
             except (OSError, asyncio.TimeoutError):
                 continue
@@ -854,67 +752,30 @@ class ShardRouter:
         self, shard: ShardProcess, entries: List[Dict[str, Any]]
     ) -> None:
         """POST a batch of cache entries into one shard's L1."""
-        status, _headers, _raw = await proxy_request(
-            self.config.host,
-            shard.port,
-            "POST",
-            "/admin/cache/import",
-            body=json.dumps({"entries": entries}).encode("utf-8"),
-            timeout_s=self.config.health_timeout_s,
+        status, _headers, _raw = await self._ask(
+            shard, "POST", "/admin/cache/import", {"entries": entries}
         )
         if status != 200:
             raise ConnectionError(f"cache import answered {status}")
 
-    async def _fetch_cache_index(
-        self, shard: ShardProcess
-    ) -> List[Dict[str, str]]:
-        """One shard's ``(key, tag)`` cache index; empty on any failure."""
-        try:
-            status, _headers, raw = await proxy_request(
-                self.config.host,
-                shard.port,
-                "GET",
-                "/admin/cache/index",
-                timeout_s=self.config.health_timeout_s,
-            )
-            if status != 200:
-                return []
-            payload = json.loads(raw.decode("utf-8"))
-        except (OSError, asyncio.TimeoutError, ValueError):
-            return []
-        return [
-            item
-            for item in payload.get("entries", ())
-            if isinstance(item, Mapping)
-            and isinstance(item.get("key"), str)
-            and isinstance(item.get("tag"), str)
-        ]
-
-    async def _export_entries(
-        self, shard: ShardProcess, keys: List[str]
+    async def _fetch_entries(
+        self,
+        shard: ShardProcess,
+        method: str,
+        target: str,
+        payload: Any = None,
+        fields: Tuple[str, ...] = ("key", "tag"),
     ) -> List[Dict[str, Any]]:
-        """Pull full cache entries for ``keys`` from one shard."""
-        try:
-            status, _headers, raw = await proxy_request(
-                self.config.host,
-                shard.port,
-                "POST",
-                "/admin/cache/export",
-                body=json.dumps({"keys": keys}).encode("utf-8"),
-                timeout_s=self.config.health_timeout_s,
-            )
-            if status != 200:
-                return []
-            payload = json.loads(raw.decode("utf-8"))
-        except (OSError, asyncio.TimeoutError, ValueError):
+        """Entries from a shard's cache index/export endpoint whose
+        ``fields`` are all strings; empty on any failure."""
+        answer = await self._ask_json(shard, method, target, payload)
+        if answer is None:
             return []
         return [
             item
-            for item in payload.get("entries", ())
+            for item in answer.get("entries", ())
             if isinstance(item, Mapping)
-            and isinstance(item.get("key"), str)
-            and isinstance(item.get("text"), str)
-            and isinstance(item.get("tag"), str)
+            and all(isinstance(item.get(field), str) for field in fields)
         ]
 
     async def _relocated_entries(
@@ -933,7 +794,7 @@ class ShardRouter:
         for shard in list(self.shards.values()):
             if shard.port is None or not shard.alive or shard.demoted:
                 continue
-            index = await self._fetch_cache_index(shard)
+            index = await self._fetch_entries(shard, "GET", "/admin/cache/index")
             indexes.append((shard, index))
             tags.update(item["tag"] for item in index)
         moved = moved_keys(self.ring, after, sorted(tags))
@@ -949,7 +810,14 @@ class ShardRouter:
             ]
             if not wanted:
                 continue
-            for item in await self._export_entries(shard, wanted):
+            exported = await self._fetch_entries(
+                shard,
+                "POST",
+                "/admin/cache/export",
+                {"keys": wanted},
+                fields=("key", "tag", "text"),
+            )
+            for item in exported:
                 entries.setdefault(item["key"], dict(item))
         return list(entries.values())
 
@@ -1053,25 +921,6 @@ class ShardRouter:
             "handoff_entries": moved,
         }
 
-    async def _fetch_health(
-        self, shard: ShardProcess
-    ) -> Optional[Dict[str, Any]]:
-        if shard.port is None:
-            return None
-        try:
-            status, _headers, raw = await proxy_request(
-                self.config.host,
-                shard.port,
-                "GET",
-                "/healthz",
-                timeout_s=self.config.health_timeout_s,
-            )
-            if status != 200:
-                return None
-            return json.loads(raw.decode("utf-8"))
-        except (OSError, asyncio.TimeoutError, ValueError):
-            return None
-
     async def _drain_shard(self, shard: ShardProcess) -> None:
         """Let in-flight work finish, then SIGTERM (drain + compaction).
 
@@ -1083,7 +932,7 @@ class ShardRouter:
         while time.monotonic() < deadline:
             if not shard.alive:
                 return
-            health = await self._fetch_health(shard)
+            health = await self._ask_json(shard, "GET", "/healthz")
             if (
                 health is not None
                 and health.get("queue_depth") == 0
@@ -1093,82 +942,15 @@ class ShardRouter:
             await asyncio.sleep(0.05)
         if shard.alive:
             shard.process.send_signal(signal.SIGTERM)
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                await asyncio.to_thread(shard.process.wait, remaining)
-            except subprocess.TimeoutExpired:  # pragma: no cover - slow drain
-                shard.process.kill()
-                await asyncio.to_thread(shard.process.wait)
+            await self._reap(shard, deadline)
 
     # ------------------------------------------------------------------
     # HTTP layer
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        method = route = "-"
-        status = 500
-        try:
-            try:
-                request = await read_request(reader, self.config.max_body_bytes)
-                if request is None:
-                    return
-                method, path, query, body = request
-                route, (status, headers, payload) = await self._route(
-                    method, path, query, body
-                )
-            except ProtocolError as error:
-                status, headers, payload = error.status, {}, {"error": str(error)}
-            except JobSpecError as error:
-                status, headers, payload = 400, {}, {"error": str(error)}
-            except Exception as error:  # pragma: no cover - defensive
-                status, headers, payload = (
-                    500,
-                    {},
-                    {"error": f"{type(error).__name__}: {error}"},
-                )
-            await write_response(writer, status, headers, payload)
-        finally:
-            self.metrics.incr(
-                "http_requests", method=method, route=route, status=str(status)
-            )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        query: Mapping[str, str],
-        body: bytes,
-    ) -> Tuple[str, Tuple[int, Dict[str, str], Any]]:
-        if path in ("/v1/schedule", "/v1/synth"):
-            if method != "POST":
-                return path, (405, {}, {"error": "POST required"})
-            algorithm = "mfs" if path == "/v1/schedule" else "mfsa"
-            return path, await self._handle_submit(algorithm, path, query, body)
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                return "/v1/jobs", (405, {}, {"error": "GET required"})
-            return "/v1/jobs", await self._handle_job(path, path[len("/v1/jobs/"):])
-        if path == "/healthz":
-            return path, (200, {}, self._health())
-        if path == "/metrics":
-            return path, (
-                200,
-                {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
-                await self._merged_metrics(),
-            )
-        if path == "/admin/shards":
-            if method == "GET":
-                return path, (200, {}, self._admin_status())
-            if method != "POST":
-                return path, (405, {}, {"error": "GET or POST required"})
-            return path, await self._handle_admin_shards(body)
-        return "-", (404, {}, {"error": f"no route for {method} {path}"})
+    async def _route_admin(self, request: Request) -> Tuple[str, Response]:
+        if request.path == "/admin/shards":
+            return request.path, await self._handle_admin_shards(request)
+        return await super()._route_admin(request)
 
     def _admin_status(self) -> Dict[str, Any]:
         return {
@@ -1179,15 +961,15 @@ class ShardRouter:
             },
         }
 
-    async def _handle_admin_shards(
-        self, body: bytes
-    ) -> Tuple[int, Dict[str, str], Any]:
+    async def _handle_admin_shards(self, request: Request) -> Response:
+        """``GET`` the ring and shard status; ``POST`` an add/remove."""
+        if request.method == "GET":
+            return 200, {}, self._admin_status()
+        if request.method != "POST":
+            return 405, {}, {"error": "GET or POST required"}
         if self.draining:
             return 503, {}, {"error": "draining; not accepting admin work"}
-        try:
-            parsed = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(400, f"request body is not JSON: {error}")
+        parsed = json_body(request.body)
         action = parsed.get("action") if isinstance(parsed, Mapping) else None
         if action not in ("add", "remove"):
             return 400, {}, {"error": "'action' must be 'add' or 'remove'"}
@@ -1203,21 +985,16 @@ class ShardRouter:
             return 200, {}, result
 
     async def _handle_submit(
-        self, algorithm: str, path: str, query: Mapping[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, str], Any]:
-        if self.draining:
-            return 503, {}, {"error": "draining; not accepting new work"}
-        try:
-            parsed = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(400, f"request body is not JSON: {error}")
+        self, algorithm: str, request: Request, parsed: Any
+    ) -> Response:
+        query = request.query
         # Validate at the edge: a malformed design 400s here without
         # burning a forward, and normalisation gives the routing key.
         spec = normalize_spec(
             algorithm,
             parsed,
-            verify=_query_flag(query, "verify"),
-            trace=_query_flag(query, "trace"),
+            verify=flag(query, "verify"),
+            trace=flag(query, "trace"),
         )
         key, fingerprint = key_and_fingerprint(spec)
 
@@ -1244,20 +1021,19 @@ class ShardRouter:
             job.cache = "hit"
             job.mark_running()
             job.finish(True, cached)
-            self._remember_job(job)
-            info = job.describe()
-            info["shard"] = "router"
-            if _query_flag(query, "wait"):
+            self._remember(job)
+            info = self._describe_job(job)
+            if flag(query, "wait"):
                 return 200, {}, {"job": info, "result": json.loads(cached)}
             return 202, {}, {"job": info}
 
         owner = self.ring.node_for(fingerprint)
-        target = self._target(path, query)
+        target = self._target(request.path, query)
         last_error: Optional[BaseException] = None
         for shard in candidates:
             try:
                 status, headers, raw = await self._forward(
-                    shard, "POST", target, body
+                    shard, "POST", target, request.body
                 )
             except (OSError, asyncio.TimeoutError, InjectedFault) as error:
                 last_error = error
@@ -1275,7 +1051,7 @@ class ShardRouter:
         headers: Mapping[str, str],
         raw: bytes,
         shard: ShardProcess,
-    ) -> Tuple[int, Dict[str, str], Any]:
+    ) -> Response:
         """Pass a shard's JSON response through, annotated and absorbed."""
         out_headers: Dict[str, str] = {}
         if "retry-after" in headers:
@@ -1303,43 +1079,31 @@ class ShardRouter:
             payload["job"]["shard"] = shard.name
         return status, out_headers, payload
 
-    async def _handle_job(
-        self, path: str, tail: str
-    ) -> Tuple[int, Dict[str, str], Any]:
-        job_id, _sep, sub = tail.partition("/")
-        job = self.jobs.get(job_id)
-        if job is not None:
-            text = job.response_text
-            if sub == "result":
-                if text is None:  # pragma: no cover - router jobs are terminal
-                    return 404, {}, {"error": f"job {job_id} has no result yet"}
-                return 200, {"X-Raw-Body": "1"}, text
-            if sub:
-                return 404, {}, {"error": f"unknown job subresource {sub!r}"}
-            info = job.describe()
-            info["shard"] = "router"
-            response: Dict[str, Any] = {"job": info}
-            if text is not None:
-                response["result"] = json.loads(text)
-            return 200, {}, response
+    def _describe_job(self, job: Job) -> Dict[str, Any]:
+        info = job.describe()
+        info["shard"] = "router"
+        return info
 
-        # Try the shard that admitted the id, then every other shard —
-        # after a crash the id may only exist in a replayed journal.
+    async def _find_job(
+        self, request: Request, job_id: str, sub: str
+    ) -> Optional[Response]:
+        """Ask the shard that admitted the id, then every other shard —
+        after a crash the id may only exist in a replayed journal."""
         ordered: List[ShardProcess] = []
         located = self.job_locations.get(job_id)
         if located is not None and located in self.shards:
             ordered.append(self.shards[located])
         ordered += [s for s in self.shards.values() if s not in ordered]
-        last_status = 404
         for shard in ordered:
             if shard.port is None or not shard.alive:
                 continue
             try:
-                status, headers, raw = await self._forward(shard, "GET", path)
+                status, headers, raw = await self._forward(
+                    shard, "GET", request.path
+                )
             except (OSError, asyncio.TimeoutError, InjectedFault):
                 continue
             if status == 404:
-                last_status = status
                 continue
             if sub == "result":
                 # Raw bytes straight through: byte-identity is the
@@ -1347,30 +1111,22 @@ class ShardRouter:
                 return status, {"X-Raw-Body": "1"}, raw.decode("utf-8")
             self.job_locations[job_id] = shard.name
             return await self._relay(status, headers, raw, shard)
-        return last_status, {}, {"error": f"unknown job {job_id!r}"}
+        return None
 
-    def _health(self) -> Dict[str, Any]:
-        uptime = (
-            time.monotonic() - self.started_monotonic
-            if self.started_monotonic is not None
-            else 0.0
+    def _health_report(self) -> Dict[str, Any]:
+        report = self._admin_status()
+        report["role"] = "router"
+        report["healthy_shards"] = sum(
+            1 for s in self.shards.values() if s.healthy
         )
-        return {
-            "status": "draining" if self.draining else "ok",
-            "role": "router",
-            "ring": list(self.ring.nodes),
-            "replication": self.config.replication,
-            "shards": {
-                name: shard.describe() for name, shard in self.shards.items()
-            },
-            "healthy_shards": sum(1 for s in self.shards.values() if s.healthy),
-            "cache_entries": len(self.cache),
-            "uptime_seconds": round(uptime, 3),
-        }
+        return report
 
-    async def _merged_metrics(self) -> str:
+    def _own_metrics(self) -> str:
+        return relabel_exposition(self.metrics.render(), shard="router")
+
+    async def _exposition(self) -> str:
         """Fleet exposition: router series + every reachable shard's."""
-        parts = [relabel_exposition(self.metrics.render(), shard="router")]
+        parts = [self._own_metrics()]
 
         async def _scrape(shard: ShardProcess) -> Optional[str]:
             if shard.port is None or not shard.alive:
@@ -1390,32 +1146,3 @@ class ShardRouter:
         )
         parts += [scrape for scrape in scrapes if scrape]
         return merge_expositions(parts)
-
-
-class RouterHandle:
-    """Control handle for a :meth:`ShardRouter.start_in_thread` instance."""
-
-    def __init__(self, router: ShardRouter, thread: threading.Thread) -> None:
-        self.router = router
-        self._thread = thread
-
-    @property
-    def url(self) -> str:
-        return self.router.url
-
-    @property
-    def port(self) -> int:
-        return self.router.port
-
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        """Drain (optionally) the fleet and stop the router thread."""
-        loop = getattr(self.router, "_thread_loop", None)
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.router.request_stop, drain)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

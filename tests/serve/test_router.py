@@ -25,6 +25,7 @@ from repro.serve.hashring import HashRing
 from repro.serve.jobs import execute_spec, normalize_spec, response_text
 from repro.dfg.fingerprint import dfg_fingerprint
 from repro.io.jsonio import dfg_from_json
+from tests.serve.roles import ROLES, boot
 
 SRC = """input a b c d
 t1 = a + b
@@ -204,13 +205,15 @@ class TestCrossShardCache:
 
 class TestDrain:
     def test_stop_drains_the_fleet(self):
-        router = ShardRouter(
-            RouterConfig(port=0, shards=2, shard_args=("--serial",))
-        )
-        handle = router.start_in_thread()
-        client = Client(handle.url, timeout=120.0)
-        client.schedule(source=_source(777), name="drain")
-        handle.stop(drain=True)
-        assert not handle._thread.is_alive()
-        for shard in router.shards.values():
-            assert shard.process.poll() is not None
+        """Leaving the handle's ``with`` block drains and joins the
+        service thread, for either role; a router also reaps every
+        shard process."""
+        for role in ROLES:
+            service = boot(role, shards=2) if role == "router" else boot(role)
+            with service.start_in_thread() as handle:
+                client = Client(handle.url, timeout=120.0)
+                client.schedule(source=_source(777), name="drain")
+            assert not handle._thread.is_alive(), role
+            assert service.draining, role
+            for shard in getattr(service, "shards", {}).values():
+                assert shard.process.poll() is not None

@@ -5,13 +5,18 @@ ephemeral port (event loop on a daemon thread) and talks to it over
 actual sockets through :class:`~repro.serve.client.Client`.  Slow-job
 scenarios pin the executor to the serial backend and wrap
 ``execute_spec`` with a sleep, so timing is controlled without touching
-process pools.
+process pools.  Behaviours of the shared HTTP skeleton (routing errors,
+malformed requests, drain, ``/healthz``) are checked on both roles —
+the app and a 1-shard :class:`~repro.serve.router.ShardRouter`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -19,8 +24,10 @@ from contextlib import contextmanager
 import pytest
 
 import repro.serve.batcher as batcher_module
+import repro.serve.httpcore as httpcore
 from repro.serve import Backpressure, Client, ServeApp, ServiceError
 from repro.serve.jobs import execute_spec
+from tests.serve.roles import ROLES, every_role, running
 
 SRC = """input a b c d
 t1 = a + b
@@ -51,6 +58,13 @@ def service(**config):
         yield app, Client(handle.url)
     finally:
         handle.stop()
+
+
+@pytest.fixture(scope="module")
+def roles():
+    """Both roles, shared by the read-only role-contract tests."""
+    with every_role() as services:
+        yield services
 
 
 @contextmanager
@@ -181,17 +195,18 @@ class TestBackpressure:
                 assert done["job"]["status"] == "done"
 
     def test_draining_rejects_new_work_with_503(self):
-        with service() as (app, client):
-            client.schedule(source=SRC, cs=6, wait=True)
-            app.draining = True
-            try:
-                with pytest.raises(ServiceError) as exc:
-                    client.schedule(source=SRC, cs=6, wait=True)
-                assert exc.value.status == 503
-                # Status endpoints stay reachable while draining.
-                assert client.healthz()["status"] == "draining"
-            finally:
-                app.draining = False
+        for role in ROLES:
+            with running(role) as (server, client):
+                client.schedule(source=SRC, cs=6, wait=True)
+                server.draining = True
+                try:
+                    with pytest.raises(ServiceError) as exc:
+                        client.schedule(source=SRC, cs=6, wait=True)
+                    assert exc.value.status == 503, role
+                    # Status endpoints stay reachable while draining.
+                    assert client.healthz()["status"] == "draining", role
+                finally:
+                    server.draining = False
 
 
 class TestTimeouts:
@@ -252,23 +267,69 @@ class TestHttpSurface:
         finally:
             connection.close()
 
-    def test_bad_json_is_400(self):
-        with service() as (_app, client):
+    def test_bad_json_is_400(self, roles):
+        for role, (_service, client) in roles.items():
             status, body = self._raw(
                 client, "POST", "/v1/schedule?wait=1", b"{nope"
             )
-            assert status == 400
+            assert status == 400, role
             assert b"not JSON" in body
 
-    def test_unknown_route_is_404(self):
-        with service() as (_app, client):
+    def test_unknown_route_is_404(self, roles):
+        for role, (_service, client) in roles.items():
             status, _body = self._raw(client, "GET", "/v2/nothing")
-            assert status == 404
+            assert status == 404, role
 
-    def test_wrong_method_is_405(self):
-        with service() as (_app, client):
+    def test_wrong_method_is_405(self, roles):
+        for role, (_service, client) in roles.items():
             status, _body = self._raw(client, "GET", "/v1/schedule")
-            assert status == 405
+            assert status == 405, role
+
+    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize(
+        "raw, status_line",
+        [
+            pytest.param(
+                b"POST /v1/schedule HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+                b"HTTP/1.1 400 Bad Request",
+                id="length-not-a-number",
+            ),
+            pytest.param(
+                b"POST /v1/schedule HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+                b"HTTP/1.1 400 Bad Request",
+                id="length-negative",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"a" * 70000
+                + b"\r\n\r\n",
+                b"HTTP/1.1 400 Bad Request",
+                id="header-line-over-64k",
+            ),
+            pytest.param(
+                b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+                b"HTTP/1.1 400 Bad Request",
+                id="request-line-over-64k",
+            ),
+            pytest.param(
+                b"POST /v1/schedule HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+                b"",
+                id="body-shorter-than-length",
+            ),
+        ],
+    )
+    def test_malformed_request_is_400_or_a_clean_close(
+        self, roles, role, raw, status_line
+    ):
+        """Never a 500: bad framing is the client's fault (400), and a
+        body cut short by a close is a bare close (no response)."""
+        _service, client = roles[role]
+        address = (client.host, client.port)
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert reply.split(b"\r\n", 1)[0] == status_line
 
     def test_unknown_job_is_404(self):
         with service() as (_app, client):
@@ -296,12 +357,33 @@ class TestHttpSurface:
             assert "repro_serve_batch_size_count" in text
             assert "repro_perf_counter_total" in text
 
-    def test_healthz_reports_shape(self):
-        with service() as (_app, client):
+    def test_healthz_reports_shape(self, roles):
+        for role, (_service, client) in roles.items():
             health = client.healthz()
-            assert health["status"] == "ok"
-            assert health["queue_depth"] == 0
-            assert "uptime_seconds" in health
+            assert health["status"] == "ok", role
+            assert "uptime_seconds" in health, role
+        assert roles["app"][1].healthz()["queue_depth"] == 0
+        assert roles["router"][1].healthz()["role"] == "router"
+
+
+class TestThreadHarness:
+    def test_boot_outlasting_the_startup_timeout_raises(self, monkeypatch):
+        monkeypatch.setattr(httpcore, "STARTUP_TIMEOUT_S", 0.2)
+        booting = []
+
+        class SlowBoot(ServeApp):
+            async def _boot(self):
+                booting.append(threading.current_thread())
+                await asyncio.sleep(1.0)
+                await super()._boot()
+
+        app = SlowBoot(port=0, backend="serial")
+        with pytest.raises(RuntimeError, match="did not start within"):
+            app.start_in_thread()
+        # The late boot stops by itself instead of serving with no handle.
+        booting[0].join(timeout=10)
+        assert not booting[0].is_alive()
+        assert app.draining
 
 
 class TestAdminCacheEndpoints:
