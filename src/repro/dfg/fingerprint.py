@@ -48,9 +48,14 @@ from repro.library.cells import CellLibrary
 FINGERPRINT_VERSION = 1
 
 
+#: The canonical JSON encoder, built once: ``json.dumps`` with options
+#: constructs a new encoder on every call, and a DFG costs one call per node.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def sha256_of(obj: Any) -> str:
     """sha256 hex digest of a JSON-canonicalised python value."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    text = _CANONICAL_JSON.encode(obj)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -14,6 +14,7 @@ from repro.io.gridviz import render_grid, render_move
 from repro.io.frameviz import render_frames
 from repro.io.jsonio import (
     dfg_from_json,
+    dfg_from_obj,
     dfg_to_json,
     schedule_to_json,
     synthesis_to_json,
@@ -30,6 +31,7 @@ __all__ = [
     "render_frames",
     "dfg_to_json",
     "dfg_from_json",
+    "dfg_from_obj",
     "schedule_to_json",
     "synthesis_to_json",
     "schedule_to_svg",

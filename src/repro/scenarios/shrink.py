@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.fingerprint import dfg_fingerprint
 from repro.dfg.graph import DFG, Port
-from repro.io.jsonio import dfg_from_json, dfg_to_json
+from repro.io.jsonio import dfg_from_obj, dfg_to_json
 
 #: Corpus file format marker/version.
 REPRODUCER_FORMAT = "repro-scenario-reproducer"
@@ -287,5 +287,5 @@ def load_reproducer(path: str) -> Tuple[Optional[Dict[str, Any]], DFG]:
         payload = json.load(handle)
     if payload.get("format") != REPRODUCER_FORMAT:
         raise ValueError(f"{path} is not a {REPRODUCER_FORMAT} file")
-    dfg = dfg_from_json(json.dumps(payload["dfg"]))
+    dfg = dfg_from_obj(payload["dfg"])
     return payload.get("scenario"), dfg

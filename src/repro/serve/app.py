@@ -47,12 +47,7 @@ from repro.serve.httpcore import (
     json_body,
 )
 from repro.serve.batcher import MicroBatcher
-from repro.serve.jobs import (
-    cache_key,
-    key_and_fingerprint,
-    normalize_spec,
-    spec_fingerprint,
-)
+from repro.serve.jobs import admit_spec, cache_key, spec_fingerprint
 from repro.serve.queue import (
     Job,
     JobFailed,
@@ -198,9 +193,10 @@ class ServeApp(HttpService):
         Raises :class:`JobSpecError` (400) or :class:`QueueFull` (429).
         Must run on the event-loop thread.
         """
-        spec = normalize_spec(algorithm, body, verify=verify, trace=trace)
+        spec, key, fingerprint = admit_spec(
+            algorithm, body, verify=verify, trace=trace
+        )
         fault_point("serve.admit")
-        key, fingerprint = key_and_fingerprint(spec)
         loop = asyncio.get_running_loop()
         job = Job(
             spec,

@@ -21,7 +21,9 @@ up.
 
 from __future__ import annotations
 
+import functools
 import json
+from operator import index
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.dfg.analysis import TimingModel, critical_path_length
@@ -34,7 +36,7 @@ from repro.dfg.fingerprint import (
 from repro.dfg.graph import DFG
 from repro.dfg.ops import standard_operation_set
 from repro.dfg.parser import parse_behavior
-from repro.io.jsonio import dfg_from_json, dfg_to_json
+from repro.io.jsonio import dfg_from_json, dfg_from_obj, dfg_to_json
 from repro.perf import PerfCounters
 from repro.resilience.faults import fault_point
 from repro.sweep import worker_cached
@@ -61,7 +63,8 @@ def parse_design(body: Mapping[str, Any], name: str = "design") -> DFG:
     Accepts either ``{"source": "<behavioral text>"}`` (the
     :mod:`repro.dfg.parser` language) or ``{"dfg": {...}}`` (a parsed
     ``repro-dfg`` JSON object, as produced by
-    :func:`repro.io.jsonio.dfg_to_json`).
+    :func:`repro.io.jsonio.dfg_to_json`), decoded straight from the
+    parsed body.
     """
     source = body.get("source")
     dfg_obj = body.get("dfg")
@@ -73,11 +76,48 @@ def parse_design(body: Mapping[str, Any], name: str = "design") -> DFG:
         if source is not None:
             _require(isinstance(source, str), "'source' must be a string")
             return parse_behavior(source, name=str(body.get("name", name)))
-        return dfg_from_json(json.dumps(dfg_obj))
+        return dfg_from_obj(dfg_obj)
     except JobSpecError:
         raise
     except Exception as error:
         raise JobSpecError(f"malformed design: {error}") from error
+
+
+def _integer(body: Mapping[str, Any], key: str, minimum=None) -> Optional[int]:
+    """An optional integer field; integral floats and numeric strings pass.
+
+    Booleans and non-integral numbers are rejected rather than coerced
+    (``int(2.7)`` would silently truncate, ``int(True)`` is 1).
+    """
+    value = body.get(key)
+    if value is None:
+        return None
+    try:
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError
+        value = int(value) if isinstance(value, (float, str)) else index(value)
+    except (TypeError, ValueError):
+        raise JobSpecError(f"{key!r} must be an integer") from None
+    _require(minimum is None or value >= minimum, f"{key!r} must be >= {minimum}")
+    return value
+
+
+def _clock(body: Mapping[str, Any]) -> Optional[float]:
+    """The optional clock period in ns; a zero period is rejected here,
+    not left to fail the queued job."""
+    value = body.get("clock_ns")
+    if value is None:
+        return None
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        value = float(value)
+    except (TypeError, ValueError):
+        raise JobSpecError("'clock_ns' must be a number") from None
+    _require(value > 0.0, "'clock_ns' must be > 0")
+    return value
 
 
 def normalize_spec(
@@ -92,27 +132,22 @@ def normalize_spec(
     (isomorphic designs, same parameters in any spelling) normalise to
     specs with the same :func:`cache_key`.
     """
+    return _canonical_spec(algorithm, body, verify, trace)[0]
+
+
+def _canonical_spec(
+    algorithm: str,
+    body: Mapping[str, Any],
+    verify: bool,
+    trace: bool,
+) -> Tuple[Dict[str, Any], DFG]:
+    """The job spec of a request body, plus the DFG it was built from."""
     _require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}")
     _require(isinstance(body, Mapping), "request body must be a JSON object")
     dfg = parse_design(body)
     _require(len(dfg) > 0, "design has no operations")
-
-    def _opt_number(key: str, cast, minimum=None):
-        value = body.get(key)
-        if value is None:
-            return None
-        try:
-            value = cast(value)
-        except (TypeError, ValueError):
-            raise JobSpecError(f"{key!r} must be a {cast.__name__}") from None
-        _require(
-            minimum is None or value >= minimum,
-            f"{key!r} must be >= {minimum}",
-        )
-        return value
-
-    style = _opt_number("style", int) or 1
-    _require(style in (1, 2), "'style' must be 1 or 2")
+    style = _integer(body, "style")
+    _require(style in (None, 1, 2), "'style' must be 1 or 2")
     pipelined = body.get("pipelined", [])
     if isinstance(pipelined, str):
         pipelined = [k for k in pipelined.split(",") if k]
@@ -125,17 +160,17 @@ def normalize_spec(
         "version": SPEC_VERSION,
         "algorithm": algorithm,
         "dfg_json": dfg_to_json(dfg, indent=None),
-        "cs": _opt_number("cs", int, minimum=1),
-        "style": style,
-        "mul_latency": _opt_number("mul_latency", int, minimum=1) or 1,
-        "clock_ns": _opt_number("clock_ns", float, minimum=0.0),
-        "latency_l": _opt_number("latency_l", int, minimum=1),
+        "cs": _integer(body, "cs", minimum=1),
+        "style": style or 1,
+        "mul_latency": _integer(body, "mul_latency", minimum=1) or 1,
+        "clock_ns": _clock(body),
+        "latency_l": _integer(body, "latency_l", minimum=1),
         "pipelined": sorted(set(pipelined)),
-        "seed": _opt_number("seed", int) or 0,
+        "seed": _integer(body, "seed") or 0,
         "verify": bool(verify),
         "trace": bool(trace),
     }
-    return spec
+    return spec, dfg
 
 
 def cache_key(spec: Mapping[str, Any]) -> str:
@@ -161,7 +196,19 @@ def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
     and cache entries by it, and every cache write tags the entry with
     it so a ring resize can compute the handoff set.
     """
-    dfg = dfg_from_json(spec["dfg_json"])
+    return _key(spec, dfg_from_json(spec["dfg_json"]))
+
+
+@functools.lru_cache(maxsize=None)
+def _mfsa_library_digest() -> str:
+    """Fingerprint of the MFSA cell library, a constant of the process."""
+    from repro.library.ncr import datapath_library
+
+    return library_fingerprint(datapath_library())
+
+
+def _key(spec: Mapping[str, Any], dfg: DFG) -> Tuple[str, str]:
+    """``(cache_key, dfg_fingerprint)`` of a spec and its decoded DFG."""
     params = {
         # The design name is erased by the structural fingerprint but
         # embedded in the response bytes, so it must key the cache.
@@ -183,11 +230,9 @@ def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
             "trace",
         )
     )
-    library_digest = None
-    if spec["algorithm"] == "mfsa":
-        from repro.library.ncr import datapath_library
-
-        library_digest = library_fingerprint(datapath_library())
+    library_digest = (
+        _mfsa_library_digest() if spec["algorithm"] == "mfsa" else None
+    )
     fingerprint = dfg_fingerprint(dfg)
     key = sha256_of(
         [
@@ -199,6 +244,24 @@ def key_and_fingerprint(spec: Mapping[str, Any]) -> Tuple[str, str]:
         ]
     )
     return key, fingerprint
+
+
+def admit_spec(
+    algorithm: str,
+    body: Mapping[str, Any],
+    verify: bool = False,
+    trace: bool = False,
+) -> Tuple[Dict[str, Any], str, str]:
+    """``(spec, cache_key, dfg_fingerprint)`` of one request, in one parse.
+
+    The admission call of both serve roles: the body's design is decoded
+    once, and the spec, the cache key and the ring fingerprint all come
+    from that one graph.  Equal to :func:`normalize_spec` followed by
+    :func:`key_and_fingerprint`, without decoding the spec's
+    ``dfg_json`` a second time.
+    """
+    spec, dfg = _canonical_spec(algorithm, body, verify, trace)
+    return (spec, *_key(spec, dfg))
 
 
 def execute_spec(

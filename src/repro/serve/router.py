@@ -90,11 +90,7 @@ from repro.serve.httpcore import (
     json_body,
     proxy_request,
 )
-from repro.serve.jobs import (
-    key_and_fingerprint,
-    normalize_spec,
-    response_text,
-)
+from repro.serve.jobs import admit_spec, response_text
 from repro.serve.metrics import merge_expositions, relabel_exposition
 from repro.serve.queue import Job
 
@@ -989,14 +985,13 @@ class ShardRouter(HttpService):
     ) -> Response:
         query = request.query
         # Validate at the edge: a malformed design 400s here without
-        # burning a forward, and normalisation gives the routing key.
-        spec = normalize_spec(
+        # burning a forward, and admission gives the routing key.
+        spec, key, fingerprint = admit_spec(
             algorithm,
             parsed,
             verify=flag(query, "verify"),
             trace=flag(query, "trace"),
         )
-        key, fingerprint = key_and_fingerprint(spec)
 
         cached = self.cache.get(key)
         if cached is None:

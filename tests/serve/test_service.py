@@ -25,6 +25,9 @@ import pytest
 
 import repro.serve.batcher as batcher_module
 import repro.serve.httpcore as httpcore
+from repro.dfg.graph import DFG
+from repro.dfg.parser import parse_behavior
+from repro.io.jsonio import dfg_to_json
 from repro.serve import Backpressure, Client, ServeApp, ServiceError
 from repro.serve.jobs import execute_spec
 from tests.serve.roles import ROLES, every_role, running
@@ -330,6 +333,54 @@ class TestHttpSurface:
             sock.shutdown(socket.SHUT_WR)
             reply = b"".join(iter(lambda: sock.recv(65536), b""))
         assert reply.split(b"\r\n", 1)[0] == status_line
+
+    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"style": 0},
+            {"cs": 2.7},
+            {"cs": True},
+            {"cs": 1e400},
+            {"latency_l": 2.5},
+            {"latency_l": True},
+            {"mul_latency": 1.5},
+            {"mul_latency": True},
+            {"seed": 0.5},
+            {"seed": False},
+            {"clock_ns": 0},
+            {"clock_ns": True},
+        ],
+        ids=lambda params: ",".join(f"{k}={v}" for k, v in params.items()),
+    )
+    def test_coerced_parameter_is_400(self, roles, role, params):
+        """A parameter that would have to be truncated or coerced into
+        range is the client's error, not a silently different job."""
+        _service, client = roles[role]
+        body = json.dumps({"source": SRC, **params}).encode()
+        status, reply = self._raw(client, "POST", "/v1/schedule?wait=1", body)
+        assert status == 400, reply
+        assert list(params)[0].encode() in reply
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_hit_decodes_the_design_once(self, roles, role, monkeypatch):
+        """Admission decodes the design once and keys the cache from
+        that graph: a hit builds exactly one DFG."""
+        _service, client = roles[role]
+        dfg = json.loads(dfg_to_json(parse_behavior(SRC2, name="once")))
+        client.schedule(dfg=dfg, cs=5, wait=True)
+        built = []
+        original = DFG.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DFG, "__init__", counting)
+        reply = client.schedule(dfg=dfg, cs=5, wait=True)
+        monkeypatch.undo()
+        assert reply["job"]["cache"] == "hit"
+        assert len(built) == 1
 
     def test_unknown_job_is_404(self):
         with service() as (_app, client):

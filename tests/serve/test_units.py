@@ -61,6 +61,12 @@ class TestSpecs:
         assert cache_key(_spec(body={"cs": 4})) == cache_key(
             _spec(body={"cs": 4, "pipelined": []})
         )
+        canonical = _spec(body={"cs": 8, "style": 2, "seed": 3, "clock_ns": 40})
+        for spelling in (
+            {"cs": 8.0, "style": "2", "seed": 3.0, "clock_ns": "40"},
+            {"cs": " 8 ", "style": 2.0, "seed": "3", "clock_ns": 40.0},
+        ):
+            assert _spec(body=spelling) == canonical
 
     def test_cache_key_separates_parameters(self):
         baseline = cache_key(_spec())
