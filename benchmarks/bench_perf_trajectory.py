@@ -2,10 +2,9 @@
 
 Measures, on the paper's hardest example (EWF, ``ewf()``, T = 17):
 
-* the MFSA run through the naive reference path (``no_cache=True`` — every
-  Liapunov term recomputed per candidate, the pre-perf-layer behaviour);
-* the MFSA run through the cached fast path (memo tables + process-wide
-  mux-optimiser memo), with its perf counters;
+* the MFSA run (memo tables + process-wide mux-optimiser memo), with its
+  perf counters, guarded by the from-scratch pricing oracle
+  (:func:`repro.check.pricing.check_mfsa_pricing`);
 * the MFS run (single-pass Liapunov evaluation);
 * a ``design_space`` sweep over the budget ladder, serial vs process-pool
   backend, asserting the results are identical in order and value.
@@ -33,6 +32,7 @@ from bench_record import append_entry
 
 from repro.allocation.mux import clear_mux_memo
 from repro.bench.suites import EXAMPLES
+from repro.check.pricing import check_mfsa_pricing
 from repro.core.mfs import MFSScheduler
 from repro.core.mfsa import MFSAScheduler
 from repro.dfg.analysis import TimingModel
@@ -65,31 +65,21 @@ def measure(repeat):
     timing = TimingModel(ops=ops, clock_period_ns=spec.mfsa_clock_ns)
     library = datapath_library()
 
-    def mfsa(no_cache, perf=None):
+    def mfsa(perf=None):
         return MFSAScheduler(
-            dfg,
-            timing,
-            library,
-            cs=spec.mfsa_cs,
-            style=1,
-            no_cache=no_cache,
-            perf=perf,
+            dfg, timing, library, cs=spec.mfsa_cs, style=1, perf=perf
         ).run()
 
-    # Equivalence guard: the numbers below are only comparable if both
-    # paths produce the same design.
+    # Equivalence guard: the timed run must price every move exactly as
+    # the §4.1 definition does, memo tables or not.
     clear_mux_memo()
-    cached = mfsa(False)
-    naive = mfsa(True)
-    assert cached.schedule.starts == naive.schedule.starts
-    assert cached.cost == naive.cost
-    assert cached.alu_labels() == naive.alu_labels()
+    violations = check_mfsa_pricing(mfsa())
+    assert not violations, violations[:3]
 
-    naive_s = best_of(lambda: mfsa(True), repeat)
-    cached_s = best_of(lambda: mfsa(False), repeat)
+    cached_s = best_of(mfsa, repeat)
 
     perf = PerfCounters()
-    mfsa(False, perf=perf)
+    mfsa(perf=perf)
 
     case = spec.table1_cases[0]
     mfs_ops = standard_operation_set(mul_latency=case.mul_latency)
@@ -125,9 +115,7 @@ def measure(repeat):
         "example": EWF_KEY,
         "cs": spec.mfsa_cs,
         "repeat": repeat,
-        "mfsa_naive_ms": round(naive_s * 1e3, 3),
         "mfsa_cached_ms": round(cached_s * 1e3, 3),
-        "mfsa_speedup": round(naive_s / cached_s, 2),
         "mfs_ms": round(mfs_s * 1e3, 3),
         "sweep_budgets": budgets,
         "sweep_serial_ms": round(sweep_serial_s * 1e3, 3),
@@ -166,9 +154,7 @@ def main(argv=None):
     entry = measure(repeat)
     entry["label"] = args.label
     print(
-        f"EWF (T={entry['cs']}) MFSA: naive {entry['mfsa_naive_ms']:.2f} ms, "
-        f"cached {entry['mfsa_cached_ms']:.2f} ms "
-        f"-> {entry['mfsa_speedup']:.2f}x"
+        f"EWF (T={entry['cs']}) MFSA: cached {entry['mfsa_cached_ms']:.2f} ms"
     )
     print(
         f"MFS {entry['mfs_ms']:.2f} ms; sweep over {len(entry['sweep_budgets'])} "

@@ -16,8 +16,8 @@ from repro.errors import AllocationError
 from repro.allocation.lifetimes import Lifetime, value_lifetimes
 from repro.allocation.mux import (
     MuxAssignment,
-    MuxOperand,
     cached_optimize_mux_inputs,
+    node_operand,
 )
 from repro.allocation.registers import RegisterAllocation, left_edge_allocate
 from repro.library.cells import ALUCell, CellLibrary
@@ -63,13 +63,14 @@ class Datapath:
         schedule: Schedule,
         library: CellLibrary,
         binding: Mapping[str, Tuple[str, int]],
-        count_input_registers: bool = False,
+        count_inputs: bool = False,
     ) -> None:
         """Build the datapath implied by ``binding``.
 
         ``binding`` maps node → (cell name, 1-based instance index).  Mux
         assignments are optimised per instance (§5.6) and registers
-        allocated by the left-edge rule (§5.8) during construction.
+        allocated by the left-edge rule (§5.8) during construction;
+        ``count_inputs`` stores primary inputs in datapath registers too.
         """
         self.schedule = schedule
         self.library = library
@@ -89,7 +90,7 @@ class Datapath:
             instance.mux = self._optimize_instance_mux(instance)
 
         self.lifetimes: Dict[str, Lifetime] = value_lifetimes(
-            schedule, count_inputs=count_input_registers
+            schedule, count_inputs=count_inputs
         )
         self.registers: RegisterAllocation = left_edge_allocate(
             self.lifetimes.values()
@@ -116,19 +117,7 @@ class Datapath:
     def _optimize_instance_mux(self, instance: ALUInstance) -> MuxAssignment:
         dfg = self.schedule.dfg
         ops = self.schedule.timing.ops
-        operands: List[MuxOperand] = []
-        for name in instance.ops:
-            node = dfg.node(name)
-            spec = ops.spec(node.kind)
-            signals = node.operand_names()
-            operands.append(
-                MuxOperand(
-                    op=name,
-                    left=signals[0],
-                    right=signals[1] if len(signals) > 1 else None,
-                    commutative=spec.commutative,
-                )
-            )
+        operands = [node_operand(dfg, ops, name) for name in instance.ops]
         return cached_optimize_mux_inputs(operands)
 
     # ------------------------------------------------------------------

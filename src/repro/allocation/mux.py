@@ -29,6 +29,18 @@ class MuxOperand:
     commutative: bool
 
 
+def node_operand(dfg, ops, name: str) -> MuxOperand:
+    """The operand pair DFG node ``name`` feeds its ALU (``ops``: op set)."""
+    node = dfg.node(name)
+    signals = node.operand_names()
+    return MuxOperand(
+        op=name,
+        left=signals[0],
+        right=signals[1] if len(signals) > 1 else None,
+        commutative=ops.spec(node.kind).commutative,
+    )
+
+
 @dataclass
 class MuxAssignment:
     """Optimised mux configuration of one ALU.

@@ -55,7 +55,6 @@ def run_example(
     style: int,
     library: Optional[CellLibrary] = None,
     perf: Optional[PerfCounters] = None,
-    no_cache: bool = False,
 ) -> MFSAResult:
     """Run MFSA for one Table-2 row."""
     dfg = spec.build()
@@ -75,7 +74,6 @@ def run_example(
         cs=spec.mfsa_cs,
         style=style,
         perf=perf,
-        no_cache=no_cache,
     )
     return scheduler.run()
 

@@ -16,6 +16,9 @@ against that claim end to end:
   references only declared resources;
 * **differential cross-validation** — results compared against the
   list / force-directed / exact baseline schedulers;
+* **MFSA pricing oracle** — every recorded move re-priced from the §4.1
+  definition, with none of the scheduler's memo tables
+  (:func:`check_mfsa_pricing`);
 * **kernel cross-validation** — the numpy vector kernel audited as
   byte-identical to the scalar reference path (schedules, trajectories,
   datapaths, comparable perf counters) on the paper examples and random
@@ -40,6 +43,7 @@ from repro.check.allocation import (
     check_netlist_consistency,
 )
 from repro.check.differential import DifferentialOutcome, cross_validate
+from repro.check.pricing import check_mfsa_pricing
 from repro.check.kernels import (
     check_kernels_all_examples,
     check_kernels_example,
@@ -67,6 +71,7 @@ __all__ = [
     "check_netlist_consistency",
     "cross_validate",
     "DifferentialOutcome",
+    "check_mfsa_pricing",
     "check_mfs_result",
     "check_mfsa_result",
     "check_mfs_kernels",

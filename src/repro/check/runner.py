@@ -16,6 +16,7 @@ from repro.check.allocation import (
 )
 from repro.check.differential import cross_validate
 from repro.check.liapunov import check_liapunov_descent
+from repro.check.pricing import check_mfsa_pricing
 from repro.check.report import CheckReport
 from repro.check.schedule import (
     check_frame_containment,
@@ -60,7 +61,11 @@ def check_mfs_result(
 
 
 def check_mfsa_result(result, differential: bool = False) -> CheckReport:
-    """Audit one :class:`~repro.core.mfsa.MFSAResult` end to end."""
+    """Audit one :class:`~repro.core.mfsa.MFSAResult` end to end.
+
+    ``differential`` adds the from-scratch re-pricing oracle
+    (:mod:`repro.check.pricing`) and the baseline cross-validation.
+    """
     schedule = result.schedule
     report = CheckReport(target=f"MFSA {schedule.dfg.name} (cs={schedule.cs})")
 
@@ -84,6 +89,8 @@ def check_mfsa_result(result, differential: bool = False) -> CheckReport:
     report.extend(check_netlist_consistency(result.datapath))
 
     if differential:
+        report.ran("mfsa-pricing")
+        report.extend(check_mfsa_pricing(result))
         report.ran("differential")
         violations, _outcome = cross_validate(
             schedule.dfg,

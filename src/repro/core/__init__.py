@@ -11,6 +11,8 @@ Scheduling-Allocation (MFSA).
   paper's multi-cycle inversion and tie-break rules;
 * :mod:`repro.core.stability` — trajectory recording and verification of
   the Liapunov monotone-decrease property;
+* :mod:`repro.core.engine` — the move-frame placement loop both
+  algorithms share (priority order, kernel decision, commit, finish);
 * :mod:`repro.core.mfs` — the MFS scheduling algorithm;
 * :mod:`repro.core.mfsa` — the MFSA mixed scheduling-allocation algorithm.
 """

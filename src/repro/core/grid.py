@@ -18,7 +18,7 @@ Occupancy rules implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ScheduleError
 from repro.dfg.graph import DFG
@@ -89,6 +89,11 @@ class PlacementGrid:
     def widen(self, table: str, columns: int) -> None:
         """Grow ``table`` to at least ``columns`` columns (bound relaxation)."""
         self._columns[table] = max(self._columns.get(table, 0), columns)
+
+    @property
+    def pipelined_tables(self) -> FrozenSet[str]:
+        """Tables backed by structurally pipelined FUs."""
+        return frozenset(self._pipelined)
 
     def tables(self) -> Tuple[str, ...]:
         """All table names."""

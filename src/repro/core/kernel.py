@@ -1,7 +1,7 @@
 """Scheduling-kernel dispatch: scalar reference vs numpy-vectorised inner loop.
 
 The MFS/MFSA inner loop prices every candidate grid position of every
-operation.  The *scalar* kernel — the original implementation in
+operation.  The *scalar* kernel — the reference walk of
 :mod:`repro.core.mfs` / :mod:`repro.core.mfsa` — walks the move frame one
 ``GridPosition`` at a time; the *vector* kernel replaces that walk with
 numpy bitmask arithmetic over whole frames:
@@ -36,15 +36,15 @@ Dispatch policy (:func:`resolve_kernel`):
   (``n_ops >= VECTOR_MIN_OPS``); tiny paper examples stay on the scalar
   loop, where per-position python beats per-frame numpy setup.
 
-Independently of the requested kernel, the schedulers fall back to the
-scalar loop for the features the vector loop does not model: attached
-trace recorders (the per-candidate event stream *is* the scalar walk),
+Independently of the requested kernel, a run falls back to the scalar
+loop for the features the vector loop does not model: attached trace
+recorders (the per-candidate event stream *is* the scalar walk), MFS
 ``record_frames`` (the Figure-2 harness wants faithful per-pass
 ``FrameSet`` logs), functional pipelining / structurally pipelined tables
-(folded occupancy), MFSA's ``no_cache`` reference mode, and — for MFS —
-user-supplied Liapunov subclasses (only the two paper functions have a
-closed form the kernel trusts).  :func:`vector_supported` centralises
-that decision so both schedulers and the audits agree on it.
+(folded occupancy), and user-supplied Liapunov subclasses (only the paper
+functions have a closed form the kernel trusts).  :func:`vector_supported`
+holds the feature rule; the move-frame engine
+(:mod:`repro.core.engine`) makes the one decision both schedulers share.
 """
 
 from __future__ import annotations
@@ -113,20 +113,14 @@ def vector_supported(
     record_frames: bool = False,
     latency_l: Optional[int] = None,
     pipelined_tables: Sequence[str] = (),
-    no_cache: bool = False,
 ) -> bool:
     """Whether a run's feature set is covered by the vector inner loop.
 
     Unsupported combinations silently use the scalar reference loop —
     results are identical either way, only the walk differs.
     """
-    if not HAVE_NUMPY:
-        return False
-    if trace or record_frames or no_cache:
-        return False
-    if latency_l is not None or pipelined_tables:
-        return False
-    return True
+    folded = latency_l is not None or bool(pipelined_tables)
+    return HAVE_NUMPY and not (trace or record_frames or folded)
 
 
 # ----------------------------------------------------------------------

@@ -32,22 +32,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from repro.errors import InfeasibleScheduleError, ScheduleError
 from repro.dfg.analysis import (
     TimingModel,
-    alap_schedule,
-    asap_schedule,
     critical_path_length,
     type_concurrency,
 )
 from repro.dfg.graph import DFG
 from repro.schedule.types import Schedule
 from repro.core import kernel as _kernel
-from repro.core.frames import FrameSet, compute_frames, frame_bounds
+from repro.core.engine import MoveFrameScheduler
+from repro.core.frames import FrameSet
 from repro.core.grid import GridPosition, PlacementGrid
 from repro.core.liapunov import (
     ResourceConstrainedLiapunov,
     StaticLiapunov,
     TimeConstrainedLiapunov,
 )
-from repro.core.priorities import priority_order
 from repro.core.stability import Trajectory
 from repro.perf import PerfCounters
 
@@ -74,7 +72,7 @@ class MFSResult:
         return self.schedule.starts
 
 
-class MFSScheduler:
+class MFSScheduler(MoveFrameScheduler):
     """Configurable MFS runner.
 
     Parameters
@@ -90,15 +88,13 @@ class MFSScheduler:
         ``cs·x + y``).
     resource_bounds:
         kind → ``max_j``.  Optional in time mode (ASAP/ALAP concurrency is
-        the default upper bound, per the paper); required in resource mode.
+        the default upper bound, per the paper, and grows if local
+        rescheduling exhausts it — the "presummed big number" fallback);
+        required in resource mode.  User-supplied bounds are never relaxed.
     latency_l:
         Functional-pipelining initiation interval (§5.5.2).
     pipelined_kinds:
         Kinds executed on structurally pipelined FUs (§5.5.1).
-    relax_bounds:
-        In time mode without user bounds, allow the automatic ``max_j`` to
-        grow if local rescheduling exhausts it (the paper's "presummed big
-        number" fallback).  User-supplied bounds are never relaxed.
     record_frames:
         Keep the last :class:`FrameSet` per node (Figure-2 regeneration).
         Off by default — the log grows with every rescheduling pass and
@@ -139,6 +135,9 @@ class MFSScheduler:
         nothing.
     """
 
+    algorithm = "mfs"
+    _pipelining_tail = " on a non-pipelined FU"
+
     def __init__(
         self,
         dfg: DFG,
@@ -148,7 +147,6 @@ class MFSScheduler:
         resource_bounds: Optional[Mapping[str, int]] = None,
         latency_l: Optional[int] = None,
         pipelined_kinds: Iterable[str] = (),
-        relax_bounds: bool = True,
         record_frames: bool = False,
         record_alternatives: bool = True,
         liapunov: Optional[StaticLiapunov] = None,
@@ -159,24 +157,16 @@ class MFSScheduler:
     ) -> None:
         if mode not in ("time", "resource"):
             raise ValueError(f"mode must be 'time' or 'resource', got {mode!r}")
-        if kernel not in _kernel.KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_kernel.KERNELS}, got {kernel!r}"
-            )
-        self.kernel = kernel
-        self.dfg = dfg
-        self.timing = timing
+        super().__init__(
+            dfg, timing, latency_l, pipelined_kinds, record_alternatives,
+            kernel, verify, perf, trace,
+        )
         self.mode = mode
-        self.latency_l = latency_l
-        self.pipelined_kinds = frozenset(str(k) for k in pipelined_kinds)
-        self.relax_bounds = relax_bounds
         self.record_frames = record_frames
-        self.record_alternatives = record_alternatives
         self.user_liapunov = liapunov
-        self.verify = verify
-        self.perf = perf
-        self.trace = trace
         self.user_bounds = dict(resource_bounds) if resource_bounds else None
+        if mode == "resource":
+            self.resource_limits = self.user_bounds
 
         dfg.validate(timing.ops)
         self._check_pipelining()
@@ -191,20 +181,6 @@ class MFSScheduler:
             self.cs = cs if cs is not None else self._serial_upper_bound()
 
     # ------------------------------------------------------------------
-    def _check_pipelining(self) -> None:
-        if self.latency_l is None:
-            return
-        if self.latency_l < 1:
-            raise ScheduleError(f"latency L must be >= 1, got {self.latency_l}")
-        for kind in self.dfg.kinds_used():
-            latency = self.timing.latency(kind)
-            if latency > self.latency_l and kind not in self.pipelined_kinds:
-                raise ScheduleError(
-                    f"kind {kind!r} (latency {latency}) cannot run under "
-                    f"functional pipelining with L={self.latency_l} on a "
-                    f"non-pipelined FU"
-                )
-
     def _serial_upper_bound(self) -> int:
         """A step budget that always suffices: run everything serially."""
         total = sum(
@@ -232,240 +208,122 @@ class MFSScheduler:
         count = self.dfg.count_by_kind().get(kind, 0)
         return min(max(1, math.ceil(count / self.cs)), max_j)
 
-    # ------------------------------------------------------------------
-    def run(self) -> MFSResult:
-        """Execute MFS and return the full result."""
-        if self.perf is None:
-            return self._run()
-        with self.perf.timer("mfs.run"):
-            return self._run()
-
-    def _run(self) -> MFSResult:
-        dfg, timing = self.dfg, self.timing
+    # -- engine hooks ---------------------------------------------------
+    def _empty_result(self) -> MFSResult:
         trace = self.trace
         if trace is not None:
-            trace.run_start("mfs", dfg.name, self.cs, mode=self.mode)
-        if len(dfg) == 0:
-            if trace is not None:
-                trace.run_end(commits=0, fu_counts={})
-            empty = Schedule(dfg=dfg, timing=timing, cs=max(self.cs or 1, 1), starts={})
-            return MFSResult(
-                schedule=empty,
-                placements={},
-                trajectory=Trajectory(),
-                grid=PlacementGrid(dfg, max(self.cs or 1, 1), {}),
-                fu_counts={},
-            )
+            trace.run_start("mfs", self.dfg.name, self.cs, mode=self.mode)
+            trace.run_end(commits=0, fu_counts={})
+        cs = max(self.cs or 1, 1)
+        return MFSResult(
+            schedule=Schedule(dfg=self.dfg, timing=self.timing, cs=cs, starts={}),
+            placements={},
+            trajectory=Trajectory(),
+            grid=PlacementGrid(self.dfg, cs, {}),
+            fu_counts={},
+        )
 
-        asap = asap_schedule(dfg, timing)
-        alap = alap_schedule(dfg, timing, self.cs)  # raises if infeasible
+    def _trace_info(self) -> Dict[str, object]:
+        return {"mode": self.mode}
 
+    def _open_tables(self, asap, alap) -> PlacementGrid:
+        """One table per FU kind, ``max_j`` columns each (§3.2 Step 2)."""
         if self.user_bounds is not None:
             max_j = dict(self.user_bounds)
-            for kind in dfg.kinds_used():
+            for kind in self.dfg.kinds_used():
                 if kind not in max_j:
                     raise ScheduleError(f"no resource bound given for kind {kind!r}")
-            bounds_are_auto = False
         else:
             max_j = self._auto_bounds(asap, alap)
-            bounds_are_auto = True
-
         grid = PlacementGrid(
-            dfg,
+            self.dfg,
             self.cs,
             columns=dict(max_j),
             latency_l=self.latency_l,
             pipelined_tables=self.pipelined_kinds,
         )
-        liapunov = self._make_liapunov(max_j)
-        order = priority_order(dfg, timing, asap, alap)
-
-        current: Dict[str, int] = {
+        self._liapunov = self._make_liapunov(max_j)
+        self._current = {
             kind: self._initial_current(kind, max_j[kind])
-            for kind in dfg.kinds_used()
+            for kind in self.dfg.kinds_used()
         }
-        placed_starts: Dict[str, int] = {}
-        chain_offsets: Dict[str, float] = {}
-        trajectory = Trajectory()
-        frames_log: Dict[str, FrameSet] = {}
+        self._frames_log: Dict[str, FrameSet] = {}
+        return grid
 
-        # Vector kernel: numpy bitmask frames instead of the per-position
-        # walk.  Byte-identical to the scalar path (same placements,
-        # energies, trajectories, counters); unsupported feature
-        # combinations and custom Liapunov subclasses stay on the scalar
-        # reference walk.  See repro.core.kernel.
-        use_vector = (
-            _kernel.resolve_kernel(self.kernel, len(dfg)) == "vector"
-            and _kernel.vector_supported(
-                trace=trace is not None,
-                record_frames=self.record_frames,
-                latency_l=self.latency_l,
-                pipelined_tables=tuple(self.pipelined_kinds),
-            )
-            and type(liapunov)
-            in (TimeConstrainedLiapunov, ResourceConstrainedLiapunov)
-        )
-        view = _kernel.VectorGrid(grid) if use_vector else None
-        has_exclusions = use_vector and any(node.branch for node in dfg)
-
-        perf = self.perf
-        for name in order:
-            kind = dfg.node(name).kind
-            latency = timing.latency(kind)
-            if use_vector:
-                _lat, latest_pred_end, ff_rows_after, chain_rows = frame_bounds(
-                    dfg, timing, name, grid.cs, placed_starts, chain_offsets
-                )
-                while True:
-                    if perf is not None:
-                        perf.incr("mfs.frames_computed")
-                    mask, lo_y = _kernel.move_frame_mask(
-                        view,
-                        grid,
-                        name,
-                        kind,
-                        latency,
-                        asap[name],
-                        alap[name],
-                        min(current[kind], grid.columns(kind)),
-                        latest_pred_end,
-                        ff_rows_after,
-                        chain_rows,
-                        has_exclusions=has_exclusions,
-                    )
-                    if mask is not None and mask.any():
-                        break
-                    if perf is not None:
-                        perf.incr("mfs.local_reschedules")
-                    if current[kind] < grid.columns(kind):
-                        current[kind] += 1
-                        continue
-                    if bounds_are_auto and self.relax_bounds:
-                        grid.widen(kind, grid.columns(kind) + 1)
-                        current[kind] = grid.columns(kind)
-                        liapunov = self._make_liapunov(
-                            {k: grid.columns(k) for k in grid.tables()}
-                        )
-                        continue
-                    raise InfeasibleScheduleError(
-                        f"no position for {name!r} ({kind}) within "
-                        f"{grid.columns(kind)} units and {self.cs} steps"
-                    )
-                if perf is not None:
-                    perf.incr("mfs.positions_evaluated", int(mask.sum()))
-                chosen, energy, alternatives = _kernel.static_argmin(
-                    mask, lo_y, kind, liapunov, self.record_alternatives
-                )
+    def _place(self, name: str, kind: str, latency: int, bounds):
+        """Static-Liapunov argmin of the move frame; open FUs while it is empty."""
+        grid, current = self._grid, self._current
+        perf, trace = self.perf, self.trace
+        while True:
+            frame = self._frame(name, kind, latency, current[kind], bounds)
+            if bounds is None:
+                if not frame.empty:
+                    break
             else:
-                while True:
-                    if perf is not None:
-                        perf.incr("mfs.frames_computed")
-                    frame = compute_frames(
-                        dfg,
-                        timing,
-                        grid,
-                        name,
-                        table=kind,
-                        asap=asap,
-                        alap=alap,
-                        current=current[kind],
-                        placed_starts=placed_starts,
-                        chain_offsets=chain_offsets,
-                    )
-                    if trace is not None:
-                        trace.frame(name, kind, frame, current[kind])
-                    if not frame.empty:
-                        break
-                    # §3.2 Step 4: local rescheduling — open one more FU.
-                    if perf is not None:
-                        perf.incr("mfs.local_reschedules")
-                    if current[kind] < grid.columns(kind):
-                        current[kind] += 1
-                        if trace is not None:
-                            trace.reschedule(name, kind, "open-fu", current[kind])
-                        continue
-                    if bounds_are_auto and self.relax_bounds:
-                        grid.widen(kind, grid.columns(kind) + 1)
-                        current[kind] = grid.columns(kind)
-                        liapunov = self._make_liapunov(
-                            {k: grid.columns(k) for k in grid.tables()}
-                        )
-                        if trace is not None:
-                            trace.reschedule(name, kind, "widen-table", current[kind])
-                        continue
-                    raise InfeasibleScheduleError(
-                        f"no position for {name!r} ({kind}) within "
-                        f"{grid.columns(kind)} units and {self.cs} steps"
-                    )
-                if self.record_frames:
-                    frames_log[name] = frame
-                # Single-pass Liapunov evaluation: every move-frame position
-                # is scored exactly once, feeding both the trajectory record
-                # and the argmin (previously ``best`` re-evaluated them all).
-                values = {
-                    position: liapunov.value(position) for position in frame.mf
-                }
-                if perf is not None:
-                    perf.incr("mfs.positions_evaluated", len(values))
-                chosen = liapunov.best(frame.mf, values=values)
-                energy = values[chosen]
-                alternatives = (
-                    tuple(values.items()) if self.record_alternatives else ()
-                )
-                if trace is not None:
-                    trace.candidates(name, kind, values.items())
-                    trace.commit(
-                        name, kind, kind, chosen.x, chosen.y, energy, latency
-                    )
-            grid.place(name, chosen, latency)
-            if view is not None:
-                view.place(chosen, latency)
-            placed_starts[name] = chosen.y
-            self._update_chain_offset(name, chosen.y, placed_starts, chain_offsets)
-            trajectory.record(
-                node=name,
-                position=chosen,
-                energy=energy,
-                alternatives=alternatives,
-            )
-
-        schedule = Schedule(
-            dfg=dfg,
-            timing=timing,
-            cs=self.cs,
-            starts=dict(placed_starts),
-            latency_l=self.latency_l,
-            pipelined_kinds=self.pipelined_kinds,
-        )
-        schedule.validate(
-            resource_bounds=self.user_bounds if self.mode == "resource" else None
-        )
-        trajectory.verify()
-        fu_counts = schedule.fu_usage()
-        if trace is not None:
+                mask, lo_y = frame
+                if mask is not None and mask.any():
+                    break
+            # §3.2 Step 4: local rescheduling — open one more FU, or (with
+            # automatic bounds) widen the table by one column.
             if perf is not None:
-                trace.counters(dict(perf.counters))
-            trace.run_end(commits=len(trajectory), fu_counts=dict(fu_counts))
-        result = MFSResult(
+                perf.incr("mfs.local_reschedules")
+            if current[kind] < grid.columns(kind):
+                current[kind] += 1
+                action = "open-fu"
+            elif self.user_bounds is None:
+                grid.widen(kind, grid.columns(kind) + 1)
+                current[kind] = grid.columns(kind)
+                self._liapunov = self._make_liapunov(
+                    {k: grid.columns(k) for k in grid.tables()}
+                )
+                action = "widen-table"
+            else:
+                raise InfeasibleScheduleError(
+                    f"no position for {name!r} ({kind}) within "
+                    f"{grid.columns(kind)} units and {self.cs} steps"
+                )
+            if trace is not None:
+                trace.reschedule(name, kind, action, current[kind])
+
+        liapunov = self._liapunov
+        if bounds is not None:
+            if perf is not None:
+                perf.incr("mfs.positions_evaluated", int(mask.sum()))
+            return _kernel.static_argmin(
+                mask, lo_y, kind, liapunov, self.record_alternatives
+            ) + (None,)
+        if self.record_frames:
+            self._frames_log[name] = frame
+        # Single-pass Liapunov evaluation: every move-frame position is
+        # scored exactly once, feeding both the trajectory record and the
+        # argmin.
+        values = {position: liapunov.value(position) for position in frame.mf}
+        if perf is not None:
+            perf.incr("mfs.positions_evaluated", len(values))
+        chosen = liapunov.best(frame.mf, values=values)
+        if trace is not None:
+            trace.candidates(name, kind, values.items())
+        alternatives = tuple(values.items()) if self.record_alternatives else ()
+        return chosen, values[chosen], alternatives, None
+
+    def _finish(self, schedule, grid, trajectory) -> MFSResult:
+        return MFSResult(
             schedule=schedule,
             placements=grid.placements(),
             trajectory=trajectory,
             grid=grid,
-            fu_counts=fu_counts,
-            frames_log=frames_log,
+            fu_counts=schedule.fu_usage(),
+            frames_log=self._frames_log,
         )
-        if self.verify:
-            from repro.check.runner import check_mfs_result
 
-            check_mfs_result(
-                result,
-                resource_bounds=(
-                    self.user_bounds if self.mode == "resource" else None
-                ),
-            ).raise_if_failed()
-        return result
+    def _run_summary(self, result: MFSResult) -> Dict[str, object]:
+        return {"fu_counts": dict(result.fu_counts)}
 
-    # ------------------------------------------------------------------
+    def _audit(self, result: MFSResult):
+        from repro.check.runner import check_mfs_result
+
+        return check_mfs_result(result, resource_bounds=self.resource_limits)
+
     def _make_liapunov(self, max_j: Mapping[str, int]) -> StaticLiapunov:
         widest = max(max_j.values()) if max_j else 1
         if self.user_liapunov is not None:
@@ -485,27 +343,6 @@ class MFSScheduler:
         except ValueError as error:
             raise ScheduleError(str(error)) from None
         return liapunov
-
-    def _update_chain_offset(
-        self,
-        name: str,
-        start: int,
-        placed_starts: Mapping[str, int],
-        chain_offsets: Dict[str, float],
-    ) -> None:
-        if not self.timing.chaining:
-            return
-        kind = self.dfg.node(name).kind
-        if self.timing.latency(kind) != 1:
-            return
-        incoming = 0.0
-        for pred in self.dfg.predecessors(name):
-            pred_kind = self.dfg.node(pred).kind
-            if self.timing.latency(pred_kind) != 1:
-                continue
-            if placed_starts.get(pred) == start:
-                incoming = max(incoming, chain_offsets.get(pred, 0.0))
-        chain_offsets[name] = incoming + self.timing.delay_ns(kind)
 
 
 def mfs_schedule(

@@ -21,14 +21,14 @@ DFG predecessors or successors — the SYNTEST self-testable style).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.trace.recorder import TraceRecorder
 
 from repro.errors import InfeasibleScheduleError, ScheduleError
-from repro.dfg.analysis import TimingModel, alap_schedule, asap_schedule
+from repro.dfg.analysis import TimingModel
 from repro.dfg.graph import DFG
 from repro.library.cells import ALUCell, CellLibrary
 from repro.schedule.types import Schedule
@@ -38,14 +38,13 @@ from repro.allocation.mux import (
     MuxOperand,
     _canonical_form,
     cached_mux_sizes_for_key,
-    optimize_mux_inputs,
+    node_operand,
 )
 from repro.allocation.registers import IncrementalRegisterEstimator
 from repro.core import kernel as _kernel
-from repro.core.frames import FrameSet, compute_frames, frame_bounds
+from repro.core.engine import MoveFrameScheduler
 from repro.core.grid import GridPosition, PlacementGrid
 from repro.core.liapunov import LiapunovWeights, MFSALiapunov
-from repro.core.priorities import priority_order
 from repro.core.stability import Trajectory
 from repro.perf import PerfCounters
 
@@ -60,7 +59,7 @@ class MFSAResult:
     trajectory: Trajectory
     grid: PlacementGrid
     style: int
-    frames_log: Dict[str, List[FrameSet]] = field(default_factory=dict)
+    weights: LiapunovWeights = LiapunovWeights()
 
     @property
     def cost(self) -> CostBreakdown:
@@ -72,16 +71,69 @@ class MFSAResult:
         return self.datapath.alu_labels()
 
 
+def input_lifetimes(
+    dfg: DFG,
+    timing: TimingModel,
+    name: str,
+    y: int,
+    placed_ends: Mapping[str, int],
+    pipelined_kinds: frozenset = frozenset(),
+) -> List[Lifetime]:
+    """Life spans starting ``name`` at step ``y`` gives its inputs (§5.8).
+
+    A non-pipelined multi-cycle consumer holds its operands until its end
+    step (see :mod:`repro.allocation.lifetimes`).
+    """
+    node = dfg.node(name)
+    latency = timing.latency(node.kind)
+    death = y
+    if latency > 1 and node.kind not in pipelined_kinds:
+        death = y + latency - 1
+    lifetimes: List[Lifetime] = []
+    seen = set()
+    for port in node.operands:
+        if not port.is_node or port.name in seen:
+            continue
+        seen.add(port.name)
+        birth = placed_ends[port.name]
+        lifetimes.append(
+            Lifetime(value=port.signal_name(), birth=birth, death=death)
+        )
+    return lifetimes
+
+
+def _appended_ids(
+    ids: Mapping[str, int], size: int, operand: MuxOperand
+) -> Tuple[int, Optional[int], List[str]]:
+    """Canonical ``(left, right)`` signal ids of ``operand`` appended to an
+    operand list whose ``size`` signals have first-occurrence ``ids``
+    (exactly like ``_canonical_form``), plus the signals it introduces."""
+    new: List[str] = []
+    left = ids.get(operand.left)
+    if left is None:
+        left = size
+        new.append(operand.left)
+    if operand.right is None:
+        right = None
+    elif operand.right == operand.left:
+        right = left
+    else:
+        right = ids.get(operand.right)
+        if right is None:
+            right = size + len(new)
+            new.append(operand.right)
+    return left, right, new
+
+
 class _AllocationState:
     """Mutable hardware picture MFSA's dynamic Liapunov function reads.
 
-    With ``cache=True`` (the default) two exact memo tables remove the
-    redundant work of candidate evaluation:
+    Two exact memo tables remove the redundant work of candidate
+    evaluation:
 
     * ``_operand_cache`` — :class:`MuxOperand` construction per node.  A
-      node's operand signals never change during a run, yet the naive path
-      rebuilds the operand of every *member* of an instance for every
-      candidate position probed against that instance.
+      node's operand signals never change during a run, yet every probe
+      of an instance needs the operand of each of its *members*.
     * ``_mux_with_cache`` — mux costs keyed by the instance's committed
       member tuple plus the candidate.  The optimised mux cost is a pure
       function of exactly those operand lists (the mux cost table is
@@ -94,8 +146,9 @@ class _AllocationState:
       call.
 
     Both caches are exact (same inputs → same deterministic optimiser
-    call), so cached and uncached runs produce byte-identical schedules —
-    the property ``tests/core/test_mfsa_equivalence.py`` locks down.
+    call).  :func:`repro.check.pricing.check_mfsa_pricing` holds them to
+    that: it re-prices every recorded move of a finished run from
+    scratch, with none of these tables.
     """
 
     def __init__(
@@ -103,7 +156,6 @@ class _AllocationState:
         dfg: DFG,
         timing: TimingModel,
         library: CellLibrary,
-        cache: bool = True,
         perf: Optional[PerfCounters] = None,
     ) -> None:
         self.dfg = dfg
@@ -114,7 +166,6 @@ class _AllocationState:
         self._mux_cost: Dict[Tuple[str, int], float] = {}
         self.registers = IncrementalRegisterEstimator()
         self.alu_area_spent = 0.0
-        self.cache = cache
         self.perf = perf
         self._operand_cache: Dict[str, MuxOperand] = {}
         self._mux_with_cache: Dict[Tuple[str, int, int, str], float] = {}
@@ -134,25 +185,15 @@ class _AllocationState:
 
     # -- MUX ------------------------------------------------------------
     def _mux_operand(self, name: str) -> MuxOperand:
-        if self.cache:
-            cached = self._operand_cache.get(name)
-            if cached is not None:
-                if self.perf is not None:
-                    self.perf.incr("mfsa.operand_cache_hits")
-                return cached
-        node = self.dfg.node(name)
-        spec = self.timing.ops.spec(node.kind)
-        signals = node.operand_names()
-        operand = MuxOperand(
-            op=name,
-            left=signals[0],
-            right=signals[1] if len(signals) > 1 else None,
-            commutative=spec.commutative,
-        )
-        if self.cache:
+        cached = self._operand_cache.get(name)
+        if cached is not None:
             if self.perf is not None:
-                self.perf.incr("mfsa.operand_cache_misses")
-            self._operand_cache[name] = operand
+                self.perf.incr("mfsa.operand_cache_hits")
+            return cached
+        operand = node_operand(self.dfg, self.timing.ops, name)
+        if self.perf is not None:
+            self.perf.incr("mfsa.operand_cache_misses")
+        self._operand_cache[name] = operand
         return operand
 
     def mux_cost_before(self, cell: ALUCell, x: int) -> float:
@@ -160,14 +201,6 @@ class _AllocationState:
 
     def mux_cost_with(self, cell: ALUCell, x: int, name: str) -> float:
         members = self.ops_on.get((cell.name, x), [])
-        costs = self.library.mux_costs
-        if not self.cache:
-            operands = [self._mux_operand(member) for member in members]
-            operands.append(self._mux_operand(name))
-            assignment = optimize_mux_inputs(operands)
-            return costs.cost(len(assignment.l1)) + costs.cost(
-                len(assignment.l2)
-            )
         # Member lists only ever grow, so (instance, member count,
         # candidate) identifies the operand list — an O(1) key where
         # hashing the member tuple itself would walk the whole list.
@@ -195,23 +228,10 @@ class _AllocationState:
             self._canon_prefix[(cell.name, x)] = prefix
         canon_key, canon_ids, canon_names = prefix
         operand = self._mux_operand(name)
-        base = len(canon_names)
-        left = canon_ids.get(operand.left)
-        extra_names = []
-        if left is None:
-            left = base
-            extra_names.append(operand.left)
-        if operand.right is None:
-            right = None
-        elif operand.right == operand.left:
-            right = left
-        else:
-            right = canon_ids.get(operand.right)
-            if right is None:
-                right = base + len(extra_names)
-                extra_names.append(operand.right)
+        left, right, _new = _appended_ids(canon_ids, len(canon_names), operand)
         full_key = canon_key + ((left, right, operand.commutative),)
         n1, n2 = cached_mux_sizes_for_key(full_key, perf=self.perf)
+        costs = self.library.mux_costs
         cost = costs.cost(n1) + costs.cost(n2)
         self._mux_with_cache[memo_key] = cost
         return cost
@@ -221,35 +241,6 @@ class _AllocationState:
         return self.mux_cost_with(cell, x, name) - self.mux_cost_before(cell, x)
 
     # -- REG ------------------------------------------------------------
-    def input_lifetimes(
-        self,
-        name: str,
-        y: int,
-        placed_ends: Mapping[str, int],
-        pipelined_kinds: frozenset = frozenset(),
-    ) -> List[Lifetime]:
-        """Life spans the candidate step ``y`` gives the node's inputs.
-
-        A non-pipelined multi-cycle consumer holds its operands until its
-        end step (see :mod:`repro.allocation.lifetimes`).
-        """
-        node = self.dfg.node(name)
-        latency = self.timing.latency(node.kind)
-        death = y
-        if latency > 1 and node.kind not in pipelined_kinds:
-            death = y + latency - 1
-        lifetimes: List[Lifetime] = []
-        seen = set()
-        for port in node.operands:
-            if not port.is_node or port.name in seen:
-                continue
-            seen.add(port.name)
-            birth = placed_ends[port.name]
-            lifetimes.append(
-                Lifetime(value=port.signal_name(), birth=birth, death=death)
-            )
-        return lifetimes
-
     def f_reg(self, lifetimes: List[Lifetime]) -> float:
         """§4.1/§5.8: new registers required, via activity selection."""
         return self.registers.cost_of(lifetimes) * self.library.register_area
@@ -274,19 +265,12 @@ class _AllocationState:
                 self._canon_prefix.pop(key, None)
             else:
                 operand = self._mux_operand(name)
-                left = canon_ids.get(operand.left)
-                if left is None:
-                    left = len(canon_names)
-                    canon_ids[operand.left] = left
-                    canon_names.append(operand.left)
-                if operand.right is None:
-                    right = None
-                else:
-                    right = canon_ids.get(operand.right)
-                    if right is None:
-                        right = len(canon_names)
-                        canon_ids[operand.right] = right
-                        canon_names.append(operand.right)
+                left, right, new = _appended_ids(
+                    canon_ids, len(canon_names), operand
+                )
+                for signal in new:
+                    canon_ids[signal] = len(canon_names)
+                    canon_names.append(signal)
                 self._canon_prefix[key] = (
                     canon_key + ((left, right, operand.commutative),),
                     canon_ids,
@@ -307,7 +291,7 @@ class _AllocationState:
         return tuple(banned)
 
 
-class MFSAScheduler:
+class MFSAScheduler(MoveFrameScheduler):
     """Configurable MFSA runner (time-constrained, per the paper's Table 2).
 
     Parameters mirror :class:`~repro.core.mfs.MFSScheduler`; additionally:
@@ -319,14 +303,20 @@ class MFSAScheduler:
         1 = unrestricted RTL, 2 = no self-loop around ALUs (§4.2).
     weights:
         The §4.1 weighted-Liapunov emphasis (default: all ones).
-    max_instances_per_cell:
-        Column budget per ALU cell table (default: enough for every
-        compatible operation — the "presummed big number").
-    no_cache:
-        Disable the incremental-evaluation layer (operand, mux, f_REG and
-        shared-frame caches) and re-derive every Liapunov term from
-        scratch for every candidate position — the slow reference path
-        the equivalence tests compare against.
+    open_policy:
+        ``"reuse-first"`` (the paper's redundant-frame rule: open a new
+        ALU instance only when no opened one can host the operation) or
+        ``"eager"`` (always offer a fresh instance, letting f_TIME
+        dominance buy hardware for earlier steps — an ablation knob).
+    area_budget:
+        Optional ALU-area cap (cost-constrained synthesis in the spirit
+        of the paper's ref. [9]): opening an instance that would push the
+        summed ALU area past the budget is forbidden; if no placement
+        remains the run fails rather than overspend.  The reuse-first
+        policy already opens the fewest instances the greedy can, so the
+        cap certifies a ceiling (and catches regressions) rather than
+        buying area below the policy's natural appetite — a budget under
+        that appetite raises :class:`InfeasibleScheduleError`.
     kernel:
         Inner-loop implementation: ``"scalar"`` (the reference walk),
         ``"vector"`` (numpy bitmask frames and one broadcasted §4.1
@@ -334,11 +324,7 @@ class MFSAScheduler:
         ``"auto"`` (vector when numpy is present and the DFG is large
         enough to pay for it).  Both kernels are byte-identical —
         :mod:`repro.core.kernel` documents the dispatch rules and the
-        features (tracing, ``record_frames``, pipelining, ``no_cache``)
-        that pin a run to the scalar walk.
-    record_frames:
-        Keep every :class:`FrameSet` built per node (Figure-2 harness
-        only; grows O(ops × gather passes)).  Off by default.
+        features (tracing, pipelining) that pin a run to the scalar walk.
     record_alternatives:
         Keep the full (position, energy) candidate list per move in the
         trajectory.  On by default (it backs the strongest stability
@@ -362,6 +348,8 @@ class MFSAScheduler:
         nothing.
     """
 
+    algorithm = "mfsa"
+
     def __init__(
         self,
         dfg: DFG,
@@ -372,11 +360,7 @@ class MFSAScheduler:
         weights: LiapunovWeights = LiapunovWeights(),
         latency_l: Optional[int] = None,
         pipelined_kinds: Iterable[str] = (),
-        max_instances_per_cell: Optional[int] = None,
-        no_cache: bool = False,
-        record_frames: bool = False,
         record_alternatives: bool = True,
-        count_input_registers: bool = True,
         open_policy: str = "reuse-first",
         area_budget: Optional[float] = None,
         kernel: str = "auto",
@@ -386,45 +370,19 @@ class MFSAScheduler:
     ) -> None:
         if style not in (1, 2):
             raise ValueError(f"style must be 1 or 2, got {style}")
-        if kernel not in _kernel.KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_kernel.KERNELS}, got {kernel!r}"
-            )
-        self.kernel = kernel
+        super().__init__(
+            dfg, timing, latency_l, pipelined_kinds, record_alternatives,
+            kernel, verify, perf, trace,
+        )
         if open_policy not in ("reuse-first", "eager"):
             raise ValueError(
                 f"open_policy must be 'reuse-first' or 'eager', got {open_policy!r}"
             )
-        self.dfg = dfg
-        self.timing = timing
         self.library = library
         self.cs = cs
         self.style = style
         self.weights = weights
-        self.latency_l = latency_l
-        self.pipelined_kinds = frozenset(str(k) for k in pipelined_kinds)
-        self.max_instances_per_cell = max_instances_per_cell
-        self.no_cache = no_cache
-        self.record_frames = record_frames
-        self.record_alternatives = record_alternatives
-        self.verify = verify
-        self.perf = perf
-        self.trace = trace
-        self.count_input_registers = count_input_registers
-        # "reuse-first" is the paper's redundant-frame rule (open a new ALU
-        # instance only when no opened one can host the operation);
-        # "eager" always offers a fresh instance, letting f_TIME dominance
-        # buy hardware for earlier steps — kept as an ablation knob.
         self.open_policy = open_policy
-        # Optional ALU-area cap (cost-constrained synthesis in the spirit
-        # of the paper's ref. [9]): opening an instance that would push
-        # the summed ALU area past the budget is forbidden; if no
-        # placement remains the run fails rather than overspend.  Note the
-        # reuse-first policy already opens the fewest instances the greedy
-        # can: the cap certifies a ceiling (and catches regressions), it
-        # does not buy area reductions below the policy's natural
-        # appetite — a budget under that appetite raises
-        # :class:`InfeasibleScheduleError`.
         if area_budget is not None and area_budget <= 0:
             raise ValueError(f"area_budget must be positive, got {area_budget}")
         self.area_budget = area_budget
@@ -433,62 +391,31 @@ class MFSAScheduler:
         library.check_covers(dfg.kinds_used())
         self._check_pipelining()
 
-    def _check_pipelining(self) -> None:
-        if self.latency_l is None:
-            return
-        if self.latency_l < 1:
-            raise ScheduleError(f"latency L must be >= 1, got {self.latency_l}")
-        for kind in self.dfg.kinds_used():
-            latency = self.timing.latency(kind)
-            if latency > self.latency_l and kind not in self.pipelined_kinds:
-                raise ScheduleError(
-                    f"kind {kind!r} (latency {latency}) cannot run under "
-                    f"functional pipelining with L={self.latency_l}"
-                )
+    # -- engine hooks ---------------------------------------------------
+    def _empty_result(self):
+        raise ScheduleError("MFSA needs a non-empty DFG")
 
-    # ------------------------------------------------------------------
-    def run(self) -> MFSAResult:
-        """Execute MFSA and return the full result."""
-        if self.perf is None:
-            return self._run()
-        with self.perf.timer("mfsa.run"):
-            return self._run()
+    def _trace_info(self) -> Dict[str, object]:
+        return {"style": self.style}
 
-    def _run(self) -> MFSAResult:
-        dfg, timing = self.dfg, self.timing
-        trace = self.trace
-        if len(dfg) == 0:
-            raise ScheduleError("MFSA needs a non-empty DFG")
-        if trace is not None:
-            trace.run_start("mfsa", dfg.name, self.cs, style=self.style)
-
-        asap = asap_schedule(dfg, timing)
-        alap = alap_schedule(dfg, timing, self.cs)
-        order = priority_order(dfg, timing, asap, alap)
-
-        candidates_by_kind: Dict[str, Tuple[ALUCell, ...]] = {
-            kind: self.library.cells_for(kind) for kind in dfg.kinds_used()
+    def _open_tables(self, asap, alap) -> PlacementGrid:
+        """One table per capable ALU cell (§4.1), one column per
+        compatible operation — the "presummed big number"."""
+        dfg, library = self.dfg, self.library
+        self._cells_by_kind: Dict[str, Tuple[ALUCell, ...]] = {
+            kind: library.cells_for(kind) for kind in dfg.kinds_used()
         }
-        cell_rank = {cell.name: i for i, cell in enumerate(self.library.cells())}
-
+        self._cell_rank = {cell.name: i for i, cell in enumerate(library.cells())}
         counts = dfg.count_by_kind()
         columns: Dict[str, int] = {}
         pipelined_tables = []
-        for cell in self.library.cells():
-            compatible = sum(
-                counts.get(kind, 0) for kind in cell.kinds
-            )
+        for cell in library.cells():
+            compatible = sum(counts.get(kind, 0) for kind in cell.kinds)
             if compatible == 0:
                 continue
-            budget = (
-                self.max_instances_per_cell
-                if self.max_instances_per_cell is not None
-                else compatible
-            )
-            columns[cell.name] = max(1, budget)
+            columns[cell.name] = compatible
             if cell.kinds and cell.kinds <= self.pipelined_kinds:
                 pipelined_tables.append(cell.name)
-
         grid = PlacementGrid(
             dfg,
             self.cs,
@@ -496,255 +423,162 @@ class MFSAScheduler:
             latency_l=self.latency_l,
             pipelined_tables=pipelined_tables,
         )
-        liapunov = MFSALiapunov(self.library, self.weights)
-        state = _AllocationState(
-            dfg, timing, self.library, cache=not self.no_cache, perf=self.perf
-        )
-
+        self._liapunov = MFSALiapunov(library, self.weights)
+        self._state = _AllocationState(dfg, self.timing, library, perf=self.perf)
         # Area-budget bookkeeping: cheapest capable cell per kind and how
         # many operations of each kind are still unplaced.  Opening an
         # instance must leave enough headroom to cover every kind that
         # would otherwise end up with no capable instance at all.
-        cheapest_cell_area = {
-            kind: min(cell.area for cell in candidates_by_kind[kind])
-            for kind in candidates_by_kind
+        self._cheapest_area = {
+            kind: min(cell.area for cell in cells)
+            for kind, cells in self._cells_by_kind.items()
         }
-        remaining_by_kind = dict(counts)
-
-        def reserve_after(cell: ALUCell, for_kind: str) -> float:
-            """Headroom needed for kinds not yet covered by any instance.
-
-            A lower bound: the dearest single uncovered kind's cheapest
-            cell (one multifunction cell may cover several kinds at once,
-            so summing would over-reserve and reject feasible budgets).
-            """
-            reserve = 0.0
-            for kind, left in remaining_by_kind.items():
-                pending = left - (1 if kind == for_kind else 0)
-                if pending <= 0:
-                    continue
-                if cell.can_execute(kind):
-                    continue
-                if any(
-                    self.library.cell(cell_name).can_execute(kind)
-                    for (cell_name, _x) in state.ops_on
-                ):
-                    continue
-                reserve = max(reserve, cheapest_cell_area[kind])
-            return reserve
-
-        placed_starts: Dict[str, int] = {}
-        placed_ends: Dict[str, int] = {}
-        chain_offsets: Dict[str, float] = {}
-        trajectory = Trajectory()
-        frames_log: Dict[str, List[FrameSet]] = {}
-
-        # Vector kernel: one bitmask frame and one broadcasted energy
-        # matrix per cell instead of the per-position walk.  Byte-identical
-        # to the scalar path (placements, energies, trajectories, perf
-        # counters); unsupported feature combinations stay on the scalar
-        # reference walk.  See repro.core.kernel.
-        use_vector = (
-            _kernel.resolve_kernel(self.kernel, len(dfg)) == "vector"
-            and _kernel.vector_supported(
-                trace=trace is not None,
-                record_frames=self.record_frames,
-                latency_l=self.latency_l,
-                pipelined_tables=tuple(pipelined_tables),
-                no_cache=self.no_cache,
-            )
+        self._remaining = dict(counts)
+        # Lazy f_MUX (vector kernel): with a monotone mux-cost table the
+        # zero-mux energy lower-bounds a column, so columns that cannot
+        # beat the running best skip the §5.6 optimiser entirely.  The
+        # argmin (and hence every result) is unchanged; only the mux/
+        # operand cache counters reflect the skipped work, so pruning
+        # stays off when the caller wants the full per-candidate record.
+        self._prune_mux = not self.record_alternatives and (
+            _kernel.mux_costs_monotone(library.mux_costs, 2 * len(dfg) + 2)
         )
-        view = _kernel.VectorGrid(grid) if use_vector else None
-        has_exclusions = use_vector and any(node.branch for node in dfg)
-        np = _kernel.np
-        # Lazy f_MUX: with a monotone mux-cost table the zero-mux energy
-        # lower-bounds a column, so columns that cannot beat the running
-        # best skip the §5.6 optimiser entirely.  The argmin (and hence
-        # every result) is unchanged; only the mux/operand cache counters
-        # reflect the skipped work, so pruning stays off when the caller
-        # wants the full per-candidate record.
-        prune_mux = (
-            use_vector
-            and not self.record_alternatives
-            and _kernel.mux_costs_monotone(
-                self.library.mux_costs, 2 * len(dfg) + 2
-            )
-        )
+        return grid
 
-        perf = self.perf
-        c_constant = liapunov.c_constant
-        for name in order:
-            kind = dfg.node(name).kind
-            latency = timing.latency(kind)
-            reg_cache: Dict[int, Tuple[float, List[Lifetime]]] = {}
-            frame_cache: Dict[str, FrameSet] = {}
-            mask_cache: Dict[str, Tuple] = {}
-            bounds = (
-                frame_bounds(
-                    dfg, timing, name, grid.cs, placed_starts, chain_offsets
-                )
-                if use_vector
-                else None
+    def _reserve_after(self, cell: ALUCell, for_kind: str) -> float:
+        """Headroom needed for kinds not yet covered by any instance.
+
+        A lower bound: the dearest single uncovered kind's cheapest cell
+        (one multifunction cell may cover several kinds at once, so
+        summing would over-reserve and reject feasible budgets).
+        """
+        reserve = 0.0
+        for kind, left in self._remaining.items():
+            pending = left - (1 if kind == for_kind else 0)
+            if pending <= 0:
+                continue
+            if cell.can_execute(kind):
+                continue
+            if any(
+                self.library.cell(cell_name).can_execute(kind)
+                for (cell_name, _x) in self._state.ops_on
+            ):
+                continue
+            reserve = max(reserve, self._cheapest_area[kind])
+        return reserve
+
+    def _place(self, name: str, kind: str, latency: int, bounds):
+        """Dynamic-Liapunov argmin over every capable cell's move frame.
+
+        The paper's redundant-frame rule first offers only already opened
+        ALU instances; when that move frame is empty, MFSA "locally
+        reschedules" by letting one fresh instance per cell join the frame,
+        and the f_ALU term arbitrates which cell to open (§4).
+        """
+        dfg, timing, grid = self.dfg, self.timing, self._grid
+        state, liapunov = self._state, self._liapunov
+        perf, trace = self.perf, self.trace
+        cell_rank, placed_ends = self._cell_rank, self._placed_ends
+        area_budget = self.area_budget
+        record_alternatives = self.record_alternatives
+        # A frame's move positions are per-(x, y) feasibility checks with
+        # no cross-position coupling, so the reuse-pass frame equals the
+        # fresh-pass frame filtered to x <= opened (the filter the pricing
+        # below applies anyway): one frame per cell — a FrameSet, or a
+        # (mask, lo_y) pair on the vector kernel — serves both passes.
+        frames: Dict[str, object] = {}
+        reg_cache: Dict[int, Tuple[float, List[Lifetime]]] = {}
+        alternatives: List[Tuple[GridPosition, float]] = []
+        # Traced candidates accumulate in a plain local list (cheap) and
+        # land in the recorder as one batch at commit time.
+        traced: Optional[list] = [] if trace is not None else None
+
+        def lifetimes_at(y: int) -> List[Lifetime]:
+            return input_lifetimes(
+                dfg, timing, name, y, placed_ends, self.pipelined_kinds
             )
-            # Batched f_REG (vector path): the node's unknown input signals
-            # and the death offset every candidate step implies; the actual
-            # per-step counts are computed lazily, once per node, over the
-            # whole primary-frame row range (shared by every cell — the row
+
+        if bounds is not None:
+            np = _kernel.np
+            # Batched f_REG: the node's unknown input signals and the
+            # death offset every candidate step implies (the death of a
+            # step-0 probe); the per-step
+            # counts are computed lazily, once per node, over the whole
+            # primary-frame row range (shared by every cell — the row
             # bounds are table-independent).
             reg_seen: set = set()
             reg_batch: List = []
-            reg_births: List[int] = []
-            reg_delta = 0
-            if use_vector:
-                if latency > 1 and kind not in self.pipelined_kinds:
-                    reg_delta = latency - 1
-                seen_ports = set()
-                for port in dfg.node(name).operands:
-                    if not port.is_node or port.name in seen_ports:
-                        continue
-                    seen_ports.add(port.name)
-                    if not state.registers.is_known(port.signal_name()):
-                        reg_births.append(placed_ends[port.name])
-            alternatives: List[Tuple[GridPosition, float]] = []
-            # Traced candidates accumulate in a plain local list (cheap)
-            # and land in the recorder as one batch at commit time.
-            traced_cands: Optional[list] = [] if trace is not None else None
+            probe = lifetimes_at(0)
+            reg_delta = probe[0].death if probe else 0
+            reg_births = [
+                lifetime.birth
+                for lifetime in probe
+                if not state.registers.is_known(lifetime.value)
+            ]
 
-            def gather(fresh_instance: bool):
-                """Collect candidate placements.
-
-                ``fresh_instance=False`` is the paper's redundant-frame rule:
-                only already opened ALU instances are eligible.  When that
-                move frame is empty, MFSA "locally reschedules" by letting
-                one fresh instance per cell kind join the frame
-                (``fresh_instance=True``) and the f_ALU term arbitrates
-                which cell to open.
-                """
-                best_key = None
-                best_choice = None
-                use_cache = not self.no_cache
-                traced_append = (
-                    traced_cands.append if traced_cands is not None else None
+        def gather(fresh_instance: bool):
+            """Best candidate of one pass (``None`` if the frame is empty)."""
+            best_key = None
+            best_choice = None
+            for cell in self._cells_by_kind[kind]:
+                opened = state.opened_columns.get(cell.name, 0)
+                if not fresh_instance and opened == 0:
+                    continue
+                frame = frames.get(cell.name)
+                if frame is None:
+                    frame = self._frame(
+                        name,
+                        cell.name,
+                        latency,
+                        min(opened + 1, grid.columns(cell.name)),
+                        bounds,
+                        state.excluded_instances(cell, name)
+                        if self.style == 2
+                        else (),
+                    )
+                    frames[cell.name] = frame
+                # Opening an instance of this cell would overspend the
+                # area budget: only already-open instances stay eligible.
+                overspend = area_budget is not None and (
+                    state.alu_area_spent
+                    + cell.area
+                    + self._reserve_after(cell, kind)
+                    > area_budget
                 )
-                # A frame's move positions are per-(x, y) feasibility checks
-                # with no cross-position coupling, so the reuse-pass frame
-                # equals the fresh-pass frame filtered to x <= opened (the
-                # filter the position loop below applies anyway).  On the
-                # cached path compute one frame per cell and share it across
-                # both gather passes; record_frames keeps the faithful
-                # per-pass log for the Figure-2 harness.
-                share_frames = use_cache and not self.record_frames
-                for cell in candidates_by_kind[kind]:
-                    # f_ALU and f_MUX depend on the instance column only,
-                    # not the step: hoist them out of the y-loop (cached
-                    # fast path; the naive reference re-derives per cell).
+
+                if bounds is None:
+                    # Scalar walk.  f_ALU and f_MUX depend on the instance
+                    # column only, f_REG on the step only: each is priced
+                    # once per column / row and reused across the frame.
                     hw_cache: Dict[int, Tuple[float, float]] = {}
-                    opened = state.opened_columns.get(cell.name, 0)
-                    if share_frames:
-                        if not fresh_instance and opened == 0:
-                            continue
-                        frame = frame_cache.get(cell.name)
-                        if frame is None:
-                            if perf is not None:
-                                perf.incr("mfsa.frames_computed")
-                            current = min(opened + 1, grid.columns(cell.name))
-                            frame = compute_frames(
-                                dfg,
-                                timing,
-                                grid,
-                                name,
-                                table=cell.name,
-                                asap=asap,
-                                alap=alap,
-                                current=current,
-                                placed_starts=placed_starts,
-                                chain_offsets=chain_offsets,
-                                excluded_instances=(
-                                    state.excluded_instances(cell, name)
-                                    if self.style == 2
-                                    else ()
-                                ),
-                            )
-                            frame_cache[cell.name] = frame
-                            if trace is not None:
-                                trace.frame(name, cell.name, frame, current)
-                    else:
-                        current = (
-                            min(opened + 1, grid.columns(cell.name))
-                            if fresh_instance
-                            else opened
-                        )
-                        if current == 0:
-                            continue
-                        excluded = (
-                            state.excluded_instances(cell, name)
-                            if self.style == 2
-                            else ()
-                        )
-                        if perf is not None:
-                            perf.incr("mfsa.frames_computed")
-                        frame = compute_frames(
-                            dfg,
-                            timing,
-                            grid,
-                            name,
-                            table=cell.name,
-                            asap=asap,
-                            alap=alap,
-                            current=current,
-                            placed_starts=placed_starts,
-                            chain_offsets=chain_offsets,
-                            excluded_instances=excluded,
-                        )
-                        if trace is not None:
-                            trace.frame(name, cell.name, frame, current)
-                        if self.record_frames:
-                            frames_log.setdefault(name, []).append(frame)
                     for position in frame.mf:
                         if not fresh_instance and position.x > opened:
                             continue
-                        if (
-                            self.area_budget is not None
-                            and not state.instance_open(cell, position.x)
-                            and state.alu_area_spent
-                            + cell.area
-                            + reserve_after(cell, kind)
-                            > self.area_budget
-                        ):
+                        if overspend and not state.instance_open(cell, position.x):
                             continue
-                        if not use_cache or position.y not in reg_cache:
+                        reg = reg_cache.get(position.y)
+                        if reg is None:
                             if perf is not None:
                                 perf.incr("mfsa.reg_cache_misses")
-                            lifetimes = state.input_lifetimes(
-                                name,
-                                position.y,
-                                placed_ends,
-                                self.pipelined_kinds,
-                            )
-                            reg_cache[position.y] = (
-                                state.f_reg(lifetimes),
-                                lifetimes,
-                            )
+                            lifetimes = lifetimes_at(position.y)
+                            reg = (state.f_reg(lifetimes), lifetimes)
+                            reg_cache[position.y] = reg
                         elif perf is not None:
                             perf.incr("mfsa.reg_cache_hits")
-                        f_reg, lifetimes = reg_cache[position.y]
-                        if use_cache:
-                            hw = hw_cache.get(position.x)
-                            if hw is None:
-                                hw = (
-                                    state.f_alu(cell, position.x),
-                                    state.f_mux(cell, position.x, name),
-                                )
-                                hw_cache[position.x] = hw
-                            f_alu, f_mux = hw
-                        else:
-                            f_alu = state.f_alu(cell, position.x)
-                            f_mux = state.f_mux(cell, position.x, name)
+                        f_reg, lifetimes = reg
+                        hw = hw_cache.get(position.x)
+                        if hw is None:
+                            hw = (
+                                state.f_alu(cell, position.x),
+                                state.f_mux(cell, position.x, name),
+                            )
+                            hw_cache[position.x] = hw
+                        f_alu, f_mux = hw
                         energy = liapunov.value(position.y, f_alu, f_mux, f_reg)
                         if perf is not None:
                             perf.incr("mfsa.candidates_evaluated")
-                        if traced_append is not None:
-                            traced_append((
+                        if traced is not None:
+                            traced.append((
                                 cell.name,
                                 position.x,
                                 position.y,
@@ -753,7 +587,7 @@ class MFSAScheduler:
                                 f_mux,
                                 f_reg,
                             ))
-                        if self.record_alternatives:
+                        if record_alternatives:
                             alternatives.append((position, energy))
                         key = (
                             energy,
@@ -764,281 +598,153 @@ class MFSAScheduler:
                         if best_key is None or key < best_key:
                             best_key = key
                             best_choice = (cell, position, energy, lifetimes)
-                return best_choice
+                    continue
 
-            def gather_vector(fresh_instance):
-                """Vector-kernel :func:`gather`: same passes, masked frames.
-
-                Frames become boolean masks (cached per cell across both
-                passes, like the scalar shared frame); the reuse pass is a
-                column slice ``x <= opened``; the §4.1 terms are gathered
-                once per active row (f_REG) and column (f_ALU, f_MUX) —
-                the same calls, in a counter-identical pattern, as the
-                scalar caches make — and priced in one broadcast.
-                """
-                best_key = None
-                best_choice = None
-                _, latest_pred_end, ff_rows_after, chain_rows = bounds
-                for cell in candidates_by_kind[kind]:
-                    opened = state.opened_columns.get(cell.name, 0)
-                    if not fresh_instance and opened == 0:
-                        continue
-                    entry = mask_cache.get(cell.name)
-                    if entry is None:
-                        if perf is not None:
-                            perf.incr("mfsa.frames_computed")
-                        current = min(opened + 1, grid.columns(cell.name))
-                        entry = _kernel.move_frame_mask(
-                            view,
-                            grid,
-                            name,
-                            cell.name,
-                            latency,
-                            asap[name],
-                            alap[name],
-                            current,
-                            latest_pred_end,
-                            ff_rows_after,
-                            chain_rows,
-                            banned=(
-                                state.excluded_instances(cell, name)
-                                if self.style == 2
-                                else ()
-                            ),
-                            has_exclusions=has_exclusions,
-                        )
-                        mask_cache[cell.name] = entry
-                    mask, lo_y = entry
-                    if mask is None:
-                        continue
-                    limit = (
-                        mask.shape[1]
-                        if fresh_instance
-                        else min(opened, mask.shape[1])
+                # Vector kernel: the reuse pass is a column slice
+                # ``x <= opened``; the §4.1 terms are gathered once per
+                # active row (f_REG) and column (f_ALU, f_MUX) — the same
+                # calls, in a counter-identical pattern, as the scalar
+                # walk's caches make — and priced in one broadcast.
+                mask, lo_y = frame
+                if mask is None:
+                    continue
+                limit = (
+                    mask.shape[1] if fresh_instance else min(opened, mask.shape[1])
+                )
+                if limit < 1:
+                    continue
+                sub = mask[:, :limit]
+                if overspend:
+                    col_ok = np.array(
+                        [state.instance_open(cell, j + 1) for j in range(limit)]
                     )
-                    if limit < 1:
+                    sub = sub & col_ok[None, :]
+                if not sub.any():
+                    continue
+                n_candidates = int(sub.sum())
+                row_idx = np.nonzero(sub.any(axis=1))[0]
+                col_idx = np.nonzero(sub.any(axis=0))[0]
+                if not reg_batch:
+                    reg_counts = _kernel.batched_reg_costs(
+                        state.registers,
+                        reg_births,
+                        reg_delta,
+                        lo_y,
+                        lo_y + mask.shape[0] - 1,
+                    )
+                    reg_batch.append(reg_counts * self.library.register_area)
+                f_reg_vec = reg_batch[0]
+                misses = 0
+                for i in row_idx:
+                    y = lo_y + int(i)
+                    if y not in reg_seen:
+                        reg_seen.add(y)
+                        misses += 1
+                if perf is not None:
+                    perf.incr("mfsa.candidates_evaluated", n_candidates)
+                    perf.incr("mfsa.reg_cache_misses", misses)
+                    perf.incr("mfsa.reg_cache_hits", n_candidates - misses)
+                f_alu_vec = np.zeros(limit)
+                for j in col_idx:
+                    f_alu_vec[j] = state.f_alu(cell, int(j) + 1)
+                ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
+                eval_cols = col_idx
+                if self._prune_mux and best_key is not None:
+                    # Zero-mux energies lower-bound each column; any column
+                    # whose bound already exceeds the running best cannot
+                    # host the argmin and skips the §5.6 mux optimiser.
+                    bound = liapunov.value_grid(
+                        ys, f_alu_vec, np.zeros(limit), f_reg_vec
+                    )
+                    col_lb = np.where(sub, bound, np.inf).min(axis=0)
+                    keep = col_lb[col_idx] <= best_key[0]
+                    if not keep.any():
                         continue
-                    sub = mask[:, :limit]
-                    if self.area_budget is not None and (
-                        state.alu_area_spent
-                        + cell.area
-                        + reserve_after(cell, kind)
-                        > self.area_budget
-                    ):
-                        # Opening would overspend: only already-open
-                        # columns stay eligible (the scalar per-position
-                        # budget filter).
-                        col_ok = np.array(
-                            [
-                                state.instance_open(cell, j + 1)
-                                for j in range(limit)
-                            ]
-                        )
+                    if not keep.all():
+                        eval_cols = col_idx[keep]
+                        col_ok = np.zeros(limit, dtype=bool)
+                        col_ok[eval_cols] = True
                         sub = sub & col_ok[None, :]
-                    if not sub.any():
-                        continue
-                    n_candidates = int(sub.sum())
-                    row_idx = np.nonzero(sub.any(axis=1))[0]
-                    col_idx = np.nonzero(sub.any(axis=0))[0]
-                    if not reg_batch:
-                        counts = _kernel.batched_reg_costs(
-                            state.registers,
-                            reg_births,
-                            reg_delta,
-                            lo_y,
-                            lo_y + mask.shape[0] - 1,
+                f_mux_vec = np.zeros(limit)
+                for j in eval_cols:
+                    f_mux_vec[j] = state.f_mux(cell, int(j) + 1, name)
+                energy = liapunov.value_grid(ys, f_alu_vec, f_mux_vec, f_reg_vec)
+                if record_alternatives:
+                    alternatives.extend(
+                        zip(
+                            _kernel.mask_positions(sub, cell.name, lo_y),
+                            energy[sub].tolist(),
                         )
-                        reg_batch.append(
-                            counts * self.library.register_area
-                        )
-                    f_reg_vec = reg_batch[0]
-                    misses = 0
-                    for i in row_idx:
-                        y = lo_y + int(i)
-                        if y not in reg_seen:
-                            reg_seen.add(y)
-                            misses += 1
-                    if perf is not None:
-                        perf.incr("mfsa.candidates_evaluated", n_candidates)
-                        perf.incr("mfsa.reg_cache_misses", misses)
-                        perf.incr("mfsa.reg_cache_hits", n_candidates - misses)
-                    f_alu_vec = np.zeros(limit)
-                    for j in col_idx:
-                        f_alu_vec[j] = state.f_alu(cell, int(j) + 1)
-                    ys = np.arange(lo_y, lo_y + sub.shape[0], dtype=np.int64)
-                    eval_cols = col_idx
-                    if prune_mux and best_key is not None:
-                        # Zero-mux energies lower-bound each column; any
-                        # column whose bound already exceeds the running
-                        # best cannot host the argmin and skips the §5.6
-                        # mux optimiser.
-                        bound = liapunov.value_grid(
-                            ys, f_alu_vec, np.zeros(limit), f_reg_vec
-                        )
-                        col_lb = np.where(sub, bound, np.inf).min(axis=0)
-                        keep = col_lb[col_idx] <= best_key[0]
-                        if not keep.any():
-                            continue
-                        if not keep.all():
-                            eval_cols = col_idx[keep]
-                            col_ok = np.zeros(limit, dtype=bool)
-                            col_ok[eval_cols] = True
-                            sub = sub & col_ok[None, :]
-                    f_mux_vec = np.zeros(limit)
-                    for j in eval_cols:
-                        f_mux_vec[j] = state.f_mux(cell, int(j) + 1, name)
-                    energy = liapunov.value_grid(
-                        ys, f_alu_vec, f_mux_vec, f_reg_vec
                     )
-                    if self.record_alternatives:
-                        alternatives.extend(
-                            zip(
-                                _kernel.mask_positions(sub, cell.name, lo_y),
-                                energy[sub].tolist(),
-                            )
-                        )
-                    position, best_energy = _kernel.argmin_position(
-                        sub, energy, cell.name, lo_y
+                position, best_energy = _kernel.argmin_position(
+                    sub, energy, cell.name, lo_y
+                )
+                best_energy = float(best_energy)
+                key = (best_energy, position.y, cell_rank[cell.name], position.x)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_choice = (
+                        cell, position, best_energy, lifetimes_at(position.y)
                     )
-                    best_energy = float(best_energy)
-                    key = (
-                        best_energy,
-                        position.y,
-                        cell_rank[cell.name],
-                        position.x,
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_choice = (
-                            cell,
-                            position,
-                            best_energy,
-                            state.input_lifetimes(
-                                name,
-                                position.y,
-                                placed_ends,
-                                self.pipelined_kinds,
-                            ),
-                        )
-                return best_choice
+            return best_choice
 
-            pick = gather_vector if use_vector else gather
-            if self.open_policy == "eager":
-                best_choice = pick(fresh_instance=True)
-            else:
-                best_choice = pick(fresh_instance=False)
-                if best_choice is None:
-                    # §4: no opened instance can host the op — let a fresh
-                    # instance per cell join the frame (f_ALU arbitrates).
-                    if trace is not None:
-                        trace.reschedule(name, kind, "fresh-instance", 0)
-                    best_choice = pick(fresh_instance=True)
+        if self.open_policy == "eager":
+            best_choice = gather(fresh_instance=True)
+        else:
+            best_choice = gather(fresh_instance=False)
             if best_choice is None:
-                raise InfeasibleScheduleError(
-                    f"MFSA found no position for {name!r} ({kind}) in "
-                    f"{self.cs} steps (style {self.style})"
-                )
-            cell, position, energy, lifetimes = best_choice
-            if trace is not None:
-                trace.candidates_detailed(name, traced_cands, c_constant)
-                trace.commit(
-                    name,
-                    kind,
-                    position.table,
-                    position.x,
-                    position.y,
-                    energy,
-                    latency,
-                    cell=cell,  # label() resolved at materialisation
-                )
-            remaining_by_kind[kind] -= 1
-            grid.place(name, position, latency)
-            if view is not None:
-                view.place(position, latency)
-            placed_starts[name] = position.y
-            placed_ends[name] = position.y + latency - 1
-            self._update_chain_offset(name, position.y, placed_starts, chain_offsets)
-            state.commit(name, cell, position.x, lifetimes)
-            trajectory.record(
-                node=name,
-                position=position,
-                energy=energy,
-                alternatives=tuple(alternatives),
+                # §4: no opened instance can host the op — let a fresh
+                # instance per cell join the frame (f_ALU arbitrates).
+                if trace is not None:
+                    trace.reschedule(name, kind, "fresh-instance", 0)
+                best_choice = gather(fresh_instance=True)
+        if best_choice is None:
+            raise InfeasibleScheduleError(
+                f"MFSA found no position for {name!r} ({kind}) in "
+                f"{self.cs} steps (style {self.style})"
             )
+        cell, position, energy, lifetimes = best_choice
+        if trace is not None:
+            trace.candidates_detailed(name, traced, liapunov.c_constant)
+        self._remaining[kind] -= 1
+        state.commit(name, cell, position.x, lifetimes)
+        return position, energy, tuple(alternatives), cell
 
-        schedule = Schedule(
-            dfg=dfg,
-            timing=timing,
-            cs=self.cs,
-            starts=dict(placed_starts),
-            latency_l=self.latency_l,
-            pipelined_kinds=self.pipelined_kinds,
-        )
-        schedule.validate()
-        trajectory.verify()
-
+    def _finish(self, schedule, grid, trajectory) -> MFSAResult:
         binding = {
             name: (pos.table, pos.x) for name, pos in grid.placements().items()
         }
-        datapath = Datapath(
-            schedule,
-            self.library,
-            binding,
-            count_input_registers=self.count_input_registers,
-        )
+        datapath = Datapath(schedule, self.library, binding, count_inputs=True)
         if self.style == 2 and datapath.has_self_loop():
             raise ScheduleError(
                 "style-2 MFSA produced a self-loop around an ALU (internal error)"
             )
-        result = MFSAResult(
+        return MFSAResult(
             schedule=schedule,
             datapath=datapath,
             placements=grid.placements(),
             trajectory=trajectory,
             grid=grid,
             style=self.style,
-            frames_log=frames_log,
+            weights=self.weights,
         )
-        if trace is not None:
-            if perf is not None:
-                trace.counters(dict(perf.counters))
-            cost = result.cost
-            trace.run_end(
-                commits=len(trajectory),
-                cost={
-                    "alu": cost.alu,
-                    "registers": cost.registers,
-                    "mux": cost.mux,
-                    "total": cost.total,
-                },
-                alus=result.alu_labels(),
-            )
-        if self.verify:
-            from repro.check.runner import check_mfsa_result
 
-            check_mfsa_result(result).raise_if_failed()
-        return result
+    def _run_summary(self, result: MFSAResult) -> Dict[str, object]:
+        cost = result.cost
+        return {
+            "cost": {
+                "alu": cost.alu,
+                "registers": cost.registers,
+                "mux": cost.mux,
+                "total": cost.total,
+            },
+            "alus": result.alu_labels(),
+        }
 
-    def _update_chain_offset(
-        self,
-        name: str,
-        start: int,
-        placed_starts: Mapping[str, int],
-        chain_offsets: Dict[str, float],
-    ) -> None:
-        if not self.timing.chaining:
-            return
-        kind = self.dfg.node(name).kind
-        if self.timing.latency(kind) != 1:
-            return
-        incoming = 0.0
-        for pred in self.dfg.predecessors(name):
-            pred_kind = self.dfg.node(pred).kind
-            if self.timing.latency(pred_kind) != 1:
-                continue
-            if placed_starts.get(pred) == start:
-                incoming = max(incoming, chain_offsets.get(pred, 0.0))
-        chain_offsets[name] = incoming + self.timing.delay_ns(kind)
+    def _audit(self, result: MFSAResult):
+        from repro.check.runner import check_mfsa_result
+
+        return check_mfsa_result(result)
 
 
 def mfsa_synthesize(

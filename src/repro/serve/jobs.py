@@ -36,6 +36,7 @@ from repro.dfg.fingerprint import (
 from repro.dfg.graph import DFG
 from repro.dfg.ops import standard_operation_set
 from repro.dfg.parser import parse_behavior
+from repro.errors import ScheduleError
 from repro.io.jsonio import dfg_from_json, dfg_from_obj, dfg_to_json
 from repro.perf import PerfCounters
 from repro.resilience.faults import fault_point
@@ -170,7 +171,25 @@ def _canonical_spec(
         "verify": bool(verify),
         "trace": bool(trace),
     }
+    _check_clock(dfg, spec["mul_latency"], spec["clock_ns"])
     return spec, dfg
+
+
+def _check_clock(dfg: DFG, mul_latency: int, clock_ns: Optional[float]) -> None:
+    """Reject a clock period some single-cycle operation of the design
+    cannot fit (:meth:`TimingModel.check_kind_fits_clock`'s rule) here,
+    not left to fail the queued job."""
+    if clock_ns is None:
+        return
+    timing = TimingModel(
+        ops=standard_operation_set(mul_latency=mul_latency),
+        clock_period_ns=clock_ns,
+    )
+    for kind in sorted(k for k in dfg.kinds_used() if k in timing.ops):
+        try:
+            timing.check_kind_fits_clock(kind)
+        except ScheduleError as error:
+            raise JobSpecError(f"'clock_ns' too short: {error}") from None
 
 
 def cache_key(spec: Mapping[str, Any]) -> str:

@@ -350,6 +350,7 @@ class TestHttpSurface:
             {"seed": False},
             {"clock_ns": 0},
             {"clock_ns": True},
+            {"clock_ns": 5},
         ],
         ids=lambda params: ",".join(f"{k}={v}" for k, v in params.items()),
     )

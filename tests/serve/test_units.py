@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from repro.dfg.parser import parse_behavior
+from repro.io.jsonio import dfg_to_json
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     JobSpecError,
@@ -56,6 +58,18 @@ class TestSpecs:
             normalize_spec("mfs", {"source": SRC, "cs": "six"})
         with pytest.raises(JobSpecError):
             normalize_spec("mfs", {"source": SRC, "cs": 0})
+
+    def test_clock_check_raises_only_spec_errors(self):
+        """An operation kind the standard set does not know is no input
+        to the clock check: with a clock, admission may reject the body
+        (400) but never fail with another error (a 500)."""
+        dfg = json.loads(dfg_to_json(parse_behavior(SRC, name="unknown")))
+        for node in dfg["nodes"]:
+            node["kind"] = "frobnicate"
+        try:
+            normalize_spec("mfs", {"dfg": dfg, "clock_ns": 5})
+        except JobSpecError:
+            pass
 
     def test_cache_key_ignores_parameter_spelling(self):
         assert cache_key(_spec(body={"cs": 4})) == cache_key(
